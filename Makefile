@@ -49,58 +49,52 @@ sweeps:
 	python -m repro sweep cluster-size --jobs 4 --export out/sweeps
 	python -m repro sweep aex-rate --jobs 4 --export out/sweeps
 
-# Tiny pinned-seed hunt, twice: MANIFEST.json must be byte-identical.
+# The smoke harness. $(call jobs-cmp,DIR,ARGS,OUT,FILE) runs
+# `python -m repro ARGS` at --jobs 1 and at --jobs 2; OUT is the run's
+# output flag with @ standing for its own directory (DIR/j1 or DIR/j2),
+# and FILE, read from both directories, must be byte-identical.
+SMOKE := out/smoke
+
+define jobs-cmp
+python -m repro $(2) --jobs 1 $(subst @,$(1)/j1,$(3))
+python -m repro $(2) --jobs 2 $(subst @,$(1)/j2,$(3))
+cmp $(1)/j1/$(4) $(1)/j2/$(4)
+@echo "smoke: $(4) byte-identical across --jobs 1/2 ($(firstword $(2)))"
+endef
+
+# Pinned-seed hunt: the corpus manifest, then a strict replay of every finding.
 hunt-smoke:
-	python -m repro hunt --seed 7 --budget 24 --jobs 2 --corpus-dir out/hunt-smoke-a
-	python -m repro hunt --seed 7 --budget 24 --jobs 2 --corpus-dir out/hunt-smoke-b
-	cmp out/hunt-smoke-a/MANIFEST.json out/hunt-smoke-b/MANIFEST.json
-	@echo "hunt-smoke: corpus manifests are byte-identical"
+	$(call jobs-cmp,$(SMOKE)/hunt,hunt --seed 7 --budget 24,--corpus-dir @,MANIFEST.json)
+	ls $(SMOKE)/hunt/j2/findings/*.json
+	for spec in $(SMOKE)/hunt/j2/findings/*.json; do \
+		python -m repro run-spec "$$spec" --oracle strict || exit 1; \
+	done
 
 # Pinned-seed service runs (1M sessions benign, 100k under the F−
-# propagation cascade), each at --jobs 1 and --jobs 2: the ServiceReport
-# JSON must be byte-identical for the same seed regardless of worker count.
+# propagation cascade); the benign workload passes the strict oracle.
+SERVICE_RUN = service --duration-s 30 --quorum 3 --seed 11 --no-cache
 service-smoke:
-	python -m repro service --sessions 1000000 --duration-s 30 --quorum 3 \
-		--seed 11 --no-cache --json out/service-smoke/benign-j1.json
-	python -m repro service --sessions 1000000 --duration-s 30 --quorum 3 \
-		--seed 11 --no-cache --jobs 2 --json out/service-smoke/benign-j2.json
-	cmp out/service-smoke/benign-j1.json out/service-smoke/benign-j2.json
-	python -m repro service --sessions 100000 --duration-s 30 --quorum 3 \
-		--seed 11 --attack fminus-propagation --no-cache \
-		--json out/service-smoke/propagation-j1.json
-	python -m repro service --sessions 100000 --duration-s 30 --quorum 3 \
-		--seed 11 --attack fminus-propagation --no-cache --jobs 2 \
-		--json out/service-smoke/propagation-j2.json
-	cmp out/service-smoke/propagation-j1.json out/service-smoke/propagation-j2.json
-	@echo "service-smoke: reports are byte-identical across --jobs 1/2"
+	$(call jobs-cmp,$(SMOKE)/service-benign,$(SERVICE_RUN) --sessions 1000000,--json @/report.json,report.json)
+	$(call jobs-cmp,$(SMOKE)/service-propagation,$(SERVICE_RUN) --sessions 100000 --attack fminus-propagation,--json @/report.json,report.json)
+	python -m repro $(SERVICE_RUN) --sessions 100000 --oracle strict
 
-# Membership control plane, pinned seeds: churn runs byte-identical
-# across --jobs 1/2, the F− containment race passes the strict oracle in
-# enforce mode, and a benign observation run flips no verdicts.
+# Membership control plane: churn runs, the F− containment race passes the
+# strict oracle in enforce mode, and a benign observation run flips no verdicts.
 membership-smoke:
-	python -m repro membership --attack churn --nodes 5 --duration-s 20 \
-		--no-cache --json out/membership-smoke/churn-j1.json
-	python -m repro membership --attack churn --nodes 5 --duration-s 20 \
-		--no-cache --jobs 2 --json out/membership-smoke/churn-j2.json
-	cmp out/membership-smoke/churn-j1.json out/membership-smoke/churn-j2.json
-	python -m repro membership --oracle strict --no-cache \
-		--json out/membership-smoke/propagation.json
-	python -m repro membership --attack benign --duration-s 15 --no-cache \
-		--oracle strict
-	@echo "membership-smoke: churn deterministic, containment strict-clean"
+	$(call jobs-cmp,$(SMOKE)/membership-churn,membership --attack churn --nodes 5 --duration-s 20 --no-cache,--json @/report.json,report.json)
+	python -m repro membership --oracle strict --no-cache --json $(SMOKE)/membership-propagation.json
+	python -m repro membership --attack benign --duration-s 15 --no-cache --oracle strict
 
-# Fault plane, pinned seeds: the crash-restart headline and the TA flap
-# pass the strict oracle (recovery invariant armed), and the mixed
-# crash + outage + partition report is byte-identical across --jobs 1/2.
+# Fault plane: crash-restart and the TA flap pass the strict oracle
+# (recovery invariant armed), the mixed crash + outage + partition report
+# is deterministic, and the bounded-retry baseline must fail strict.
 faults-smoke:
 	python -m repro faults --scenario crash-restart --no-cache --oracle strict
 	python -m repro faults --scenario ta-flap --no-cache --oracle strict
-	python -m repro faults --scenario crash-outage-partition --no-cache \
-		--json out/faults-smoke/mixed-j1.json
-	python -m repro faults --scenario crash-outage-partition --no-cache \
-		--jobs 2 --json out/faults-smoke/mixed-j2.json
-	cmp out/faults-smoke/mixed-j1.json out/faults-smoke/mixed-j2.json
-	@echo "faults-smoke: recovery strict-clean, reports byte-identical across --jobs 1/2"
+	$(call jobs-cmp,$(SMOKE)/faults-mixed,faults --scenario crash-outage-partition --no-cache,--json @/report.json,report.json)
+	@if python -m repro faults --scenario no-retry --no-cache --oracle strict; then \
+		echo "no-retry baseline unexpectedly passed the strict oracle" >&2; exit 1; \
+	fi
 
 figures:
 	python -m repro run fig2 --export out/fig2

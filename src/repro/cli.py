@@ -20,22 +20,14 @@ Commands
 ``run-spec <file.json>``
     Run a declarative experiment spec (see ``examples/specs/`` and
     :mod:`repro.experiments.spec`).
-``service``
-    Run the trusted-time service workload (:mod:`repro.service`): session
-    populations against per-node front-ends with Marzullo quorum clients,
-    benign or under an attack, reporting client-visible SLO metrics
-    (p50/p99/p99.9 timestamp error, lease violations, shed/timeout rates).
-    ``--json FILE`` writes the deterministic ``ServiceReport``.
-``membership``
-    Run the epoch membership/quarantine control plane
-    (:mod:`repro.membership`) against a scenario — benign, rolling churn,
-    F+, the F− propagation cascade, or a TA blackhole — and print the
-    verdict journal (suspect/quarantine/evict/probation transitions and
-    per-node peak divergence). ``--mode enforce`` also rotates the
-    per-epoch group key so quarantined nodes are cryptographically cut
-    off. The flag ``--membership {off,observe,enforce}`` on ``run``,
-    ``sweep``, ``run-spec``, ``batch``, ``service`` and ``reproduce``
-    attaches the same engine to those runs.
+``service`` / ``membership`` / ``faults``
+    Presets: each compiles its flags into a spec with that plane's block
+    and runs it like ``batch`` — the session workload with Marzullo
+    quorum clients (:mod:`repro.service`), the epoch membership/quarantine
+    control plane against a scenario (:mod:`repro.membership`), or a
+    deterministic fault schedule (:mod:`repro.faults`). Every attached
+    plane's report is printed; ``--json FILE`` writes the command's own
+    plane report, with any other attached plane's report under its name.
 ``hunt``
     Coverage-guided search for attack schedules (:mod:`repro.hunt`):
     evolve genomes of timed attack primitives through the fleet, keep a
@@ -46,6 +38,12 @@ Commands
     Run everything (delegates to ``examples/reproduce_paper.py``'s logic
     via the same figure functions) and print the paper-vs-measured lines;
     ``--jobs N`` instead runs every experiment through the fleet pool.
+
+``run``, ``sweep``, ``run-spec``, ``batch``, ``reproduce`` and the presets
+take ``--oracle {off,warn,strict}`` and ``--membership
+{off,observe,enforce}``: process-wide policies (:mod:`repro.policy`) that
+attach the invariant oracle or a membership engine to every cluster the
+command builds.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ import argparse
 import sys
 from typing import Callable, Optional
 
+from repro.errors import ConfigurationError, OracleViolationError
 from repro.experiments import figures
 from repro.sim.units import HOUR, MINUTE, SECOND
 
@@ -356,112 +355,91 @@ def _finish_fleet(args, telemetry) -> None:
         print(f"wrote telemetry JSONL to {path}", file=sys.stderr)
 
 
-def _oracle_run(mode: str, fn: Callable):
-    """Run ``fn()`` under oracle ``mode``; returns ``(value, exit_code)``.
+def _policy_modes(args) -> dict:
+    """The ``--oracle``/``--membership`` modes given, ``off`` left out."""
+    from repro.policy import POLICY_MODULES
 
-    The serial-path counterpart of the fleet's per-task oracle handling
-    (see :func:`repro.fleet.tasks.execute_task`): the policy is installed
-    for the duration of the call, every oracle that clusters built along
-    the way gets finalized, and reports go to stderr so stdout stays
-    byte-identical to an oracle-off run. ``exit_code`` is 1 when strict
-    mode saw violations outside the expected set (``value`` is ``None``
-    if the run aborted), else 0.
+    return {
+        name: getattr(args, name)
+        for name in POLICY_MODULES
+        if getattr(args, name, "off") != "off"
+    }
+
+
+def _with_policies(tasks: list, args) -> list:
+    """Stamp the command's policy modes into each fleet task's overrides.
+
+    ``off`` stamps nothing, so content hashes — and thus any cached
+    results from policy-free runs — stay valid.
     """
-    if mode == "off":
-        return fn(), 0
+    modes = _policy_modes(args)
+    for task in tasks:
+        task.overrides.update(modes)
+    return tasks
 
-    from repro.errors import OracleViolationError
-    from repro.oracle import drain_created_oracles, oracle_policy
 
-    failure: Optional[OracleViolationError] = None
-    value = None
-    with oracle_policy(mode):
-        drain_created_oracles()
-        try:
+def _run_in_process(args, fn: Callable):
+    """Run ``fn()`` under the command's policies; ``(value, engines, exit)``.
+
+    The serial-path counterpart of :func:`repro.fleet.tasks.execute_task`:
+    ``engines`` maps each installed policy to what it attached, oracle
+    reports go to stderr so stdout stays byte-identical to an oracle-off
+    run, and the exit code is 1 when strict mode saw violations outside
+    the expected set (``value`` is None if the run aborted), else 0.
+    """
+    from repro.policy import installed_policies
+
+    value = failure = None
+    try:
+        with installed_policies(_policy_modes(args)) as engines:
             value = fn()
-        except OracleViolationError as exc:
-            # Experiment.run raises as soon as one run's violations leave
-            # the expected set; oracles of earlier runs still get reported.
-            failure = exc
-        finally:
-            oracles = drain_created_oracles()
+    except OracleViolationError as exc:
+        # Experiment.run raises as soon as one run's violations leave
+        # the expected set; oracles of earlier runs still get reported.
+        failure = exc
 
     unexpected = 0
-    for oracle in oracles:
+    for oracle in engines.get("oracle", []):
         oracle.finalize()
         if oracle.violations:
             print(oracle.render_report(), file=sys.stderr)
         unexpected += len(oracle.unexpected_violations())
     if failure is not None:
         print(f"oracle: {failure}", file=sys.stderr)
-        return None, 1
-    if unexpected and mode == "strict":
+        return None, engines, 1
+    if unexpected and args.oracle == "strict":
         print(f"oracle: {unexpected} unexpected violation(s) in strict mode", file=sys.stderr)
-        return value, 1
-    return value, 0
+        return value, engines, 1
+    return value, engines, 0
 
 
-def _apply_oracle_override(tasks: list, mode: str) -> list:
-    """Stamp the oracle mode into each fleet task's overrides.
+def _spec_task(raw: dict):
+    """A fleet ``spec`` task; validates ``raw`` before any worker runs."""
+    from repro.experiments.spec import ExperimentSpec
+    from repro.fleet import RunTask
 
-    ``off`` leaves tasks untouched so their content hashes — and thus any
-    cached results from oracle-free runs — stay valid.
-    """
-    if mode != "off":
-        for task in tasks:
-            task.overrides["oracle"] = mode
-    return tasks
-
-
-def _membership_run(mode: str, fn: Callable):
-    """Run ``fn()`` under membership ``mode``; returns ``(value, reports)``.
-
-    The serial-path counterpart of the fleet's per-task membership
-    handling: the policy is installed for the duration of the call, and
-    every controller that clusters built along the way is drained so its
-    report can be printed. Controllers a spec's ``membership`` block
-    retired (by replacing them) are dropped — only live engines report.
-    """
-    if mode == "off":
-        return fn(), []
-
-    from repro.membership import drain_created_controllers, membership_policy
-
-    with membership_policy(mode):
-        drain_created_controllers()
-        try:
-            value = fn()
-        finally:
-            controllers = drain_created_controllers()
-    reports = [
-        controller.report() for controller in controllers if not controller.retired
-    ]
-    return value, reports
+    spec = ExperimentSpec.from_dict(raw)
+    return RunTask(
+        kind="spec",
+        name=spec.name,
+        seed=spec.seed,
+        duration_ns=spec.duration_ns,
+        payload={"spec": raw},
+    )
 
 
-def _print_membership_reports(reports) -> None:
-    """Render membership reports (a dict or list of dicts) to stdout."""
-    from repro.membership import render_report
-
-    if not reports:
-        return
-    if isinstance(reports, dict):
-        reports = [reports]
-    for report in reports:
+def _run_spec_tasks(args, tasks: list) -> list:
+    """Run spec tasks through the fleet; print every result's tables."""
+    pool, cache, telemetry = _fleet_pieces(args)
+    results = pool.run(_with_policies(tasks, args), cache=cache, telemetry=telemetry)
+    for result in results:
         print()
-        print(render_report(report))
-
-
-def _apply_membership_override(tasks: list, mode: str) -> list:
-    """Stamp the membership mode into each fleet task's overrides.
-
-    Mirrors :func:`_apply_oracle_override`: ``off`` leaves tasks (and
-    their content hashes) untouched.
-    """
-    if mode != "off":
-        for task in tasks:
-            task.overrides["membership"] = mode
-    return tasks
+        if result.ok:
+            print(result.value["rendered"])
+        else:
+            print(f"spec {result.name!r} FAILED: {result.error}")
+    _finish_fleet(args, telemetry)
+    return results
 
 
 def _sweep_tasks(name: str, seed: Optional[int]) -> list:
@@ -486,11 +464,11 @@ def _run_sweep(args) -> int:
     tasks = _sweep_tasks(args.sweep_name, args.seed)
     if args.limit is not None:
         tasks = tasks[: args.limit]
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
     pool, cache, telemetry = _fleet_pieces(args)
     try:
-        points = sweeps.run_point_tasks(tasks, pool=pool, cache=cache, telemetry=telemetry)
+        points = sweeps.run_point_tasks(
+            _with_policies(tasks, args), pool=pool, cache=cache, telemetry=telemetry
+        )
     except FleetError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
@@ -519,9 +497,6 @@ def _run_batch(args) -> int:
     from pathlib import Path
 
     from repro.analysis.report import format_table
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
@@ -534,31 +509,11 @@ def _run_batch(args) -> int:
     tasks = []
     for path in spec_paths:
         try:
-            raw = json.loads(path.read_text())
-            spec = ExperimentSpec.from_dict(raw)  # fail on typos before any worker runs
+            tasks.append(_spec_task(json.loads(path.read_text())))
         except (json.JSONDecodeError, ConfigurationError, TypeError) as exc:
             print(f"invalid spec {path}: {exc}", file=sys.stderr)
             return 1
-        tasks.append(
-            RunTask(
-                kind="spec",
-                name=spec.name,
-                seed=spec.seed,
-                duration_ns=spec.duration_ns,
-                payload={"spec": raw},
-            )
-        )
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    results = pool.run(tasks, cache=cache, telemetry=telemetry)
-    for result in results:
-        print()
-        if result.ok:
-            print(result.value["rendered"])
-            _print_membership_reports(result.value.get("membership"))
-        else:
-            print(f"spec {result.name!r} FAILED: {result.error}")
+    results = _run_spec_tasks(args, tasks)
     rows = [
         [
             result.name,
@@ -570,7 +525,6 @@ def _run_batch(args) -> int:
     ]
     print()
     print(format_table(["spec", "status", "wall_s", "attempts"], rows, title="batch summary"))
-    _finish_fleet(args, telemetry)
     return 0 if all(result.ok for result in results) else 1
 
 
@@ -584,10 +538,8 @@ def _run_reproduce_fleet(args) -> int:
         RunTask(kind="experiment", name=name, payload={"experiment": name})
         for name in _EXPERIMENTS
     ]
-    _apply_oracle_override(tasks, args.oracle)
-    _apply_membership_override(tasks, args.membership)
     pool, cache, telemetry = _fleet_pieces(args)
-    results = pool.run(tasks, cache=cache, telemetry=telemetry)
+    results = pool.run(_with_policies(tasks, args), cache=cache, telemetry=telemetry)
     failed = False
     for result in results:
         print(f"\n=== {result.name} ===")
@@ -628,23 +580,33 @@ def _print_result(name: str, result) -> None:
     print(result.render(description))
 
 
+def _preset_spec(args, name: str, attacks: list, **blocks) -> dict:
+    """Spec dict every preset shares: ``--nodes`` Triad-like nodes."""
+    environments = {str(i): "triad-like" for i in range(1, args.nodes + 1)}
+    return {
+        "name": name,
+        "seed": args.seed,
+        "duration_s": args.duration_s,
+        "nodes": args.nodes,
+        "environments": environments,
+        "attacks": attacks,
+        **blocks,
+    }
+
+
+def _preset_attacks(attack: str, victim: int) -> list[dict]:
+    """The ``attacks`` list for an ``--attack`` choice against ``victim``."""
+    if attack in ("benign", "churn"):
+        return []
+    if attack == "ta-blackhole":
+        return [{"type": "ta-blackhole"}]
+    # fplus, fminus and fminus-propagation: the calibration delay attack.
+    return [{"type": attack.split("-")[0], "victim": victim, "delay_ms": 100}]
+
+
 def _service_spec_dict(args) -> dict:
     """Compile the ``service`` subcommand flags into a spec dict."""
-    nodes = args.nodes
-    victim = min(3, nodes)  # paper numbering: node 3 is the compromised one
-    attacks: list[dict] = []
-    protocol = "original"
-    if args.attack == "fplus":
-        attacks = [{"type": "fplus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "fminus":
-        # Hardened protocol: the F− poison stays pinned to the victim, so
-        # the run measures quorum containment of a single bad source.
-        attacks = [{"type": "fminus", "victim": victim, "delay_ms": 100}]
-        protocol = "hardened"
-    elif args.attack == "fminus-propagation":
-        attacks = [{"type": "fminus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "ta-blackhole":
-        attacks = [{"type": "ta-blackhole"}]
+    victim = min(3, args.nodes)  # paper numbering: node 3 is the compromised one
     service: dict = {
         "sessions": args.sessions,
         "arrival": args.arrival,
@@ -653,59 +615,15 @@ def _service_spec_dict(args) -> dict:
     }
     if args.rate_rps is not None:
         service["rate_rps"] = args.rate_rps
-    return {
-        "name": f"service-{args.attack}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "protocol": protocol,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
-        "attacks": attacks,
-        "service": service,
-    }
-
-
-def _run_service_command(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
-
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
-    raw = _service_spec_dict(args)
-    try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    task = RunTask(
-        kind="service",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
+    return _preset_spec(
+        args,
+        f"service-{args.attack}",
+        _preset_attacks(args.attack, victim),
+        # Hardened 'fminus': the poison stays pinned to the victim, so the
+        # run measures quorum containment of a single bad source.
+        protocol="hardened" if args.attack == "fminus" else "original",
+        service=service,
     )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
-    if not result.ok:
-        print(f"service run FAILED: {result.error}", file=sys.stderr)
-        return 1
-    print(result.value["rendered"])
-    _print_membership_reports(result.value.get("membership"))
-    _finish_fleet(args, telemetry)
-    if args.json:
-        path = Path(args.json)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote service report JSON to {path}")
-    return 0
 
 
 def _membership_churn_schedule(nodes: int, duration_s: float) -> dict:
@@ -730,91 +648,33 @@ def _membership_churn_schedule(nodes: int, duration_s: float) -> dict:
 def _membership_spec_dict(args) -> dict:
     """Compile the ``membership`` subcommand flags into a spec dict."""
     nodes = args.nodes
+    if args.attack == "churn" and nodes < 4:
+        raise ConfigurationError(
+            f"--attack churn needs --nodes >= 4 (nodes 1-3 stay resident), got {nodes}"
+        )
     victim = min(3, nodes)  # paper numbering: node 3 is the compromised one
-    attacks: list[dict] = []
-    if args.attack == "fplus":
-        attacks = [{"type": "fplus", "victim": victim, "delay_ms": 100}]
-    elif args.attack == "fminus-propagation":
+    attacks = _preset_attacks(args.attack, victim)
+    if args.attack == "fminus-propagation":
         # Mirror the fig6 timeline: honest AEX streams (the peer-untaint
         # adoption vector) come online at t=3s, after the attacker has
         # skewed the victim's initial calibration — the containment race
         # the headline experiment pins (see docs/membership.md).
-        attacks = [
-            {"type": "fminus", "victim": victim, "delay_ms": 100},
-            {
-                "type": "aex-onset",
-                "nodes": [i for i in range(1, nodes + 1) if i != victim],
-                "at_s": 3,
-            },
-        ]
-    elif args.attack == "ta-blackhole":
-        attacks = [{"type": "ta-blackhole"}]
-    raw = {
-        "name": f"membership-{args.attack}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
-        "attacks": attacks,
-        "membership": {"mode": args.mode, "epoch_s": args.epoch_s},
-    }
+        honest = [i for i in range(1, nodes + 1) if i != victim]
+        attacks.append({"type": "aex-onset", "nodes": honest, "at_s": 3})
+    blocks: dict = {"membership": {"mode": args.mode, "epoch_s": args.epoch_s}}
     if args.attack == "churn":
-        raw["churn"] = _membership_churn_schedule(nodes, args.duration_s)
-    return raw
-
-
-def _run_membership_command(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
-
-    invalid = _validate_fleet_flags(args)
-    if invalid is not None:
-        return invalid
-    if args.attack == "churn" and args.nodes < 4:
-        print(
-            f"error: --attack churn needs --nodes >= 4 (nodes 1-3 stay "
-            f"resident), got {args.nodes}",
-            file=sys.stderr,
-        )
-        return 2
-    raw = _membership_spec_dict(args)
-    try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    task = RunTask(
-        kind="membership",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-    )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
-    if not result.ok:
-        print(f"membership run FAILED: {result.error}", file=sys.stderr)
-        return 1
-    print(result.value["rendered"])
-    _finish_fleet(args, telemetry)
-    if args.json:
-        path = Path(args.json)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote membership report JSON to {path}")
-    return 0
+        blocks["churn"] = _membership_churn_schedule(nodes, args.duration_s)
+    return _preset_spec(args, f"membership-{args.attack}", attacks, **blocks)
 
 
 def _faults_spec_dict(args) -> dict:
     """Compile the ``faults`` subcommand flags into a spec dict."""
     nodes = args.nodes
+    if args.scenario in ("crash-outage-partition", "no-retry") and nodes < 3:
+        raise ConfigurationError(
+            f"--scenario {args.scenario} needs --nodes >= 3 (it crashes "
+            f"node 2 and partitions node 3), got {nodes}"
+        )
     crash_victim = min(2, nodes)
     isolated = min(3, nodes)
     # Exponential backoff with jitter is the recovery policy under test;
@@ -850,12 +710,7 @@ def _faults_spec_dict(args) -> dict:
         ]
         if args.scenario == "no-retry":
             retry = {"attempt_budget": 2}
-    raw = {
-        "name": f"faults-{args.scenario}",
-        "seed": args.seed,
-        "duration_s": args.duration_s,
-        "nodes": nodes,
-        "environments": {str(i): "triad-like" for i in range(1, nodes + 1)},
+    blocks: dict = {
         "faults": {
             "schedule": schedule,
             "recovery_deadline_s": args.deadline_s,
@@ -863,74 +718,60 @@ def _faults_spec_dict(args) -> dict:
         },
     }
     if args.sessions > 0:
-        raw["service"] = {
+        blocks["service"] = {
             "sessions": args.sessions,
             "quorum": min(args.quorum, nodes),
             "degraded_margin_factor": 3.0,
             "breaker_threshold": 3,
         }
-    return raw
+    return _preset_spec(args, f"faults-{args.scenario}", [], **blocks)
 
 
-def _run_faults_command(args) -> int:
+#: Preset command -> builder compiling its flags into a spec dict.
+_PRESETS: dict[str, Callable[..., dict]] = {
+    "service": _service_spec_dict,
+    "membership": _membership_spec_dict,
+    "faults": _faults_spec_dict,
+}
+
+
+def _run_preset(args) -> int:
+    """Run a preset's spec as a fleet ``spec`` task; ``--json`` writes the
+    command's plane report plus other attached planes' under their names."""
     import json
     from pathlib import Path
-
-    from repro.errors import ConfigurationError
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
         return invalid
-    if args.scenario in ("crash-outage-partition", "no-retry") and args.nodes < 3:
-        print(
-            f"error: --scenario {args.scenario} needs --nodes >= 3 (it crashes "
-            f"node 2 and partitions node 3), got {args.nodes}",
-            file=sys.stderr,
-        )
-        return 2
-    raw = _faults_spec_dict(args)
     try:
-        spec = ExperimentSpec.from_dict(raw)  # fail on bad flags before any worker runs
+        task = _spec_task(_PRESETS[args.command](args))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    task = RunTask(
-        kind="faults",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-    )
-    _apply_oracle_override([task], args.oracle)
-    _apply_membership_override([task], args.membership)
-    pool, cache, telemetry = _fleet_pieces(args)
-    result = pool.run([task], cache=cache, telemetry=telemetry)[0]
+    [result] = _run_spec_tasks(args, [task])
     if not result.ok:
-        print(f"faults run FAILED: {result.error}", file=sys.stderr)
         return 1
-    print(result.value["rendered"])
-    _finish_fleet(args, telemetry)
     if args.json:
+        reports = dict(result.value["reports"])
+        report = {**reports.pop(args.command), **reports}
         path = Path(args.json)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(result.value["report"], indent=2, sort_keys=True) + "\n")
-        print(f"wrote faults report JSON to {path}")
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.command} report JSON to {path}")
     return 0
 
 
 def _run_hunt(args) -> int:
     from pathlib import Path
 
-    from repro.errors import ConfigurationError
     from repro.fleet import FleetTelemetry
     from repro.hunt import HuntConfig, HuntEngine
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
+    invalid = _validate_fleet_flags(args)
+    if invalid is not None:
+        return invalid
     try:
         config = HuntConfig(
             seed=args.seed,
@@ -966,18 +807,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if args.command == "run":
-        bundle, oracle_exit = _oracle_run(
-            args.oracle,
-            lambda: _membership_run(
-                args.membership,
-                lambda: _run_experiment(args.experiment, args.seed, args.duration_s),
-            ),
+        result, engines, code = _run_in_process(
+            args, lambda: _run_experiment(args.experiment, args.seed, args.duration_s)
         )
-        if bundle is None:
-            return oracle_exit
-        result, membership_reports = bundle
+        if result is None:
+            return code
         _print_result(args.experiment, result)
-        _print_membership_reports(membership_reports)
+        from repro.planes import plane
+
+        for controller in engines.get("membership", []):
+            print()
+            print(plane("membership").render(controller.report()))
         if args.export:
             from repro.analysis.export import export_experiment
 
@@ -986,7 +826,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             else:
                 paths = export_experiment(result, args.export)
                 print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return oracle_exit
+        return code
 
     if args.command == "sweep":
         return _run_sweep(args)
@@ -995,41 +835,25 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _run_batch(args)
 
     if args.command == "run-spec":
-        from repro.experiments.figures import DriftFigureResult
         from repro.experiments.spec import ExperimentSpec
+        from repro.fleet.tasks import spec_result
 
         spec = ExperimentSpec.load(args.spec_path)
-        bundle, oracle_exit = _oracle_run(
-            args.oracle, lambda: _membership_run(args.membership, spec.run)
-        )
-        if bundle is None:
-            return oracle_exit
-        experiment, membership_reports = bundle
-        result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
-        print(result.render(f"spec: {spec.name} ({spec.protocol}, {spec.duration_s:.0f}s)"))
-        if experiment.service is not None:
-            print()
-            print(experiment.service.report().render())
-        if experiment.membership is not None and not membership_reports:
-            # Spec-block engines are not policy-created, so they are not in
-            # the drained reports; print them directly.
-            _print_membership_reports(experiment.membership.report())
-        _print_membership_reports(membership_reports)
+        experiment, _engines, code = _run_in_process(args, spec.run)
+        if experiment is None:
+            return code
+        print(spec_result(spec, experiment)["rendered"])
         if args.export:
             from repro.analysis.export import export_experiment
+            from repro.experiments.figures import DriftFigureResult
 
+            result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
             paths = export_experiment(result, args.export)
             print(f"\nwrote {len(paths)} CSV files to {args.export}/")
-        return oracle_exit
+        return code
 
-    if args.command == "service":
-        return _run_service_command(args)
-
-    if args.command == "membership":
-        return _run_membership_command(args)
-
-    if args.command == "faults":
-        return _run_faults_command(args)
+    if args.command in _PRESETS:
+        return _run_preset(args)
 
     if args.command == "hunt":
         return _run_hunt(args)
@@ -1060,10 +884,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                     _print_result(name, _run_experiment(name, None, None))
             return True
 
-        _done, oracle_exit = _oracle_run(
-            args.oracle, lambda: _membership_run(args.membership, reproduce_serial)
-        )
-        return oracle_exit
+        _done, _engines, code = _run_in_process(args, reproduce_serial)
+        return code
 
     return 1  # pragma: no cover - argparse enforces valid commands
 

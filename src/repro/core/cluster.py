@@ -233,9 +233,9 @@ class TriadCluster:
         #: process-wide membership policy (None unless one is installed).
         #: Same universal-coverage rationale (and same lazy-import cycle)
         #: as the oracle attach above.
-        from repro.membership.policy import attach_from_policy as attach_membership
+        from repro.membership.plane import POLICY as MEMBERSHIP_POLICY
 
-        self.membership = attach_membership(self)
+        self.membership = MEMBERSHIP_POLICY.attach(self)
 
     # -- cluster churn -------------------------------------------------------
 

@@ -182,9 +182,11 @@ class DriftFigureResult:
         return self.experiment.drift(index)
 
     def frequencies_mhz(self) -> dict[str, float]:
+        """Latest F_calib per node; nodes that never calibrated are omitted."""
         return {
-            node.name: self.experiment.frequency_mhz(i + 1)
-            for i, node in enumerate(self.experiment.cluster.nodes)
+            node.name: node.stats.latest_frequency_hz / 1e6
+            for node in self.experiment.cluster.nodes
+            if node.stats.latest_frequency_hz is not None
         }
 
     def availability(self) -> dict[str, float]:
@@ -195,16 +197,19 @@ class DriftFigureResult:
         return drift_rate_ms_per_s(series)
 
     def render(self, title: str) -> str:
+        frequencies = self.frequencies_mhz()
+        availability = self.availability()
         rows = []
         for i, node in enumerate(self.experiment.cluster.nodes, start=1):
             series = self.drift(i)
             final = series.final_drift_ns() / 1e6 if series.samples else float("nan")
+            frequency = frequencies.get(node.name)
             rows.append(
                 [
                     node.name,
-                    f"{self.experiment.frequency_mhz(i):.3f}",
+                    "-" if frequency is None else f"{frequency:.3f}",
                     f"{final:.3f}",
-                    f"{self.availability()[node.name] * 100:.2f}%",
+                    f"{availability[node.name] * 100:.2f}%",
                     node.stats.aex_count,
                     node.stats.ta_references,
                     node.stats.peer_untaints,

@@ -41,15 +41,14 @@ class Experiment:
     #: scenario registry by name; attack wiring (e.g.
     #: :meth:`~repro.experiments.spec.ExperimentSpec`) may union more in.
     expected_violations: set = field(default_factory=set)
-    #: Attached :class:`~repro.service.TimeService`, when the scenario
-    #: deploys the client-facing service layer (set by
-    #: :meth:`TimeService.attach`; None for protocol-only experiments).
+    #: Plane handles (see :mod:`repro.planes`), None when not attached:
+    #: the :class:`~repro.service.TimeService`, the
+    #: :class:`~repro.membership.MembershipController` (also bound from a
+    #: policy-attached controller by the scenario builders), and the
+    #: compiled :class:`~repro.faults.FaultPlan`.
     service: Optional[object] = None
-    #: Attached :class:`~repro.membership.MembershipController`, when the
-    #: scenario runs the membership control plane (set by
-    #: :meth:`MembershipController.attach` or bound from the cluster's
-    #: policy-attached controller by the scenario builders).
     membership: Optional[object] = None
+    faults: Optional[object] = None
 
     def __post_init__(self) -> None:
         self.expected_violations |= expected_for(self.name)

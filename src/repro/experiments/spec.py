@@ -34,32 +34,27 @@ finding replays from plain spec JSON — but schedules are also handy for
 hand-scripted timelines at nanosecond resolution. Validation errors name
 the offending entry index (``schedule[3]: ...``).
 
-A spec may also carry a ``service`` block (see
-:class:`repro.service.ServiceConfig`): the run then deploys per-node
-front-ends, session workloads, and Marzullo quorum clients over the
-cluster, and the fleet's ``service`` task kind reports client-visible
-SLO metrics instead of the drift table. Validation errors name the
-offending key (``service.sessions: ...``).
+A spec may also carry one block per *plane* (see :mod:`repro.planes`):
+``service`` (client SLOs through quorum front-ends), ``membership``
+(epoch verdicts and, in enforce mode, key rotation) and ``faults``
+(crash/outage/partition schedules plus the recovery contract). Each
+plane validates its own block with key-named errors
+(``service.sessions: ...``) and wires it onto the built experiment.
 
-Two further blocks wire the membership control plane
-(:mod:`repro.membership`):
-
-* ``membership`` — ``{"mode": "observe" | "enforce", ...}`` plus any
-  :class:`repro.membership.MembershipConfig` keys; attaches an epoch
-  membership engine to the cluster (replacing any policy-attached one).
-* ``churn`` — ``{"absent": [indices], "schedule": [{"t_s": ...,
-  "node": ..., "action": "leave" | "join"}]}``; nodes listed in
-  ``absent`` start dormant and off the fabric, and the schedule drives
-  deterministic join/leave/rejoin at the given instants. Caution: a node
-  that leaves during its own (re)calibration window black-holes its TA
-  exchanges and the run fails with a calibration error — schedules must
-  keep departures clear of FullCalib windows.
+Cluster churn is a scenario axis rather than a plane: a ``churn`` block
+``{"absent": [indices], "schedule": [{"t_s": ..., "node": ...,
+"action": "leave" | "join"}]}`` starts the ``absent`` nodes dormant and
+off the fabric, and the schedule drives deterministic join/leave/rejoin
+at the given instants. Caution: a node that leaves during its own
+(re)calibration window black-holes its TA exchanges and the run fails
+with a calibration error — schedules must keep departures clear of
+FullCalib windows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -73,6 +68,7 @@ from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
 from repro.hardware.aex import ExponentialAexDelays
+from repro.planes import carried_blocks
 from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 
 #: Recognized protocol variants.
@@ -126,24 +122,6 @@ SCHEDULE_PRIMITIVES = {
 
 _SCHEDULE_ENTRY_KEYS = {"t_ns", "primitive", "params"}
 
-_SPEC_KEYS = {
-    "name",
-    "seed",
-    "duration_s",
-    "nodes",
-    "protocol",
-    "environments",
-    "machine_wide_mean_s",
-    "machine_wide_correlation",
-    "ta_count",
-    "attacks",
-    "schedule",
-    "service",
-    "membership",
-    "churn",
-    "faults",
-}
-
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
 _CHURN_ACTIONS = ("leave", "join")
@@ -166,23 +144,12 @@ class ExperimentSpec:
     attacks: list[dict[str, Any]] = field(default_factory=list)
     #: Timed attack schedule: [{"t_ns": int, "primitive": str, "params": {...}}].
     schedule: list[dict[str, Any]] = field(default_factory=list)
-    #: Service workload block (see :class:`repro.service.ServiceConfig`):
-    #: deploys per-node front-ends plus quorum clients over the cluster
-    #: and makes the run report client-visible SLO metrics.
+    #: Plane blocks (see :mod:`repro.planes`; None = plane not attached).
     service: Optional[dict[str, Any]] = None
-    #: Membership block: ``{"mode": "observe"|"enforce"}`` plus any
-    #: :class:`repro.membership.MembershipConfig` keys. Attaches an epoch
-    #: membership engine (verdicts, and in enforce mode epoch-key
-    #: rotation) to the cluster.
     membership: Optional[dict[str, Any]] = None
     #: Churn block: ``{"absent": [...], "schedule": [{"t_s", "node",
     #: "action"}]}`` — deterministic join/leave/rejoin over the run.
     churn: Optional[dict[str, Any]] = None
-    #: Fault-injection block (see :class:`repro.faults.FaultPlan`):
-    #: ``{"schedule": [{"t_s", "kind", ...}], "recovery_deadline_s",
-    #: "retry": {...}}`` — deterministic crash/restart, TA outages,
-    #: partitions and loss bursts, plus the recovery contract the oracle
-    #: judges after the last fault heals.
     faults: Optional[dict[str, Any]] = None
 
     # -- construction & validation -------------------------------------------
@@ -208,32 +175,10 @@ class ExperimentSpec:
             self._validate_attack(attack)
         for index, entry in enumerate(self.schedule):
             self._validate_schedule_entry(index, entry)
-        if self.service is not None:
-            self._validate_service(self.service)
-        if self.membership is not None:
-            self._validate_membership(self.membership)
         if self.churn is not None:
             self._validate_churn(self.churn)
-        if self.faults is not None:
-            self._fault_plan()
-
-    def _validate_membership(self, raw: dict[str, Any]) -> None:
-        # Imported here for the same layering reason as the service block.
-        from repro.membership.config import MembershipConfig
-        from repro.membership.engine import CONTROLLER_MODES
-
-        if not isinstance(raw, dict):
-            raise ConfigurationError(
-                f"membership: block must be an object, got {type(raw).__name__}"
-            )
-        mode = raw.get("mode", "observe")
-        if mode not in CONTROLLER_MODES:
-            raise ConfigurationError(
-                f"membership.mode: unknown mode {mode!r}; "
-                f"choose from {CONTROLLER_MODES}"
-            )
-        config_keys = {k: v for k, v in raw.items() if k != "mode"}
-        MembershipConfig.from_dict(config_keys)
+        for plane, block in carried_blocks(self):
+            plane.validate(block, self)
 
     def _validate_churn(self, raw: dict[str, Any]) -> None:
         if not isinstance(raw, dict):
@@ -316,35 +261,6 @@ class ExperimentSpec:
                 entry.get("t_s", 0) if isinstance(entry, dict) else 0
             ),
         )
-
-    def _fault_plan(self):
-        """Validate (and compile) the ``faults`` block against this spec."""
-        # Imported here for the same layering reason as the service block.
-        from repro.faults import FaultPlan
-
-        return FaultPlan.from_spec(
-            self.faults,
-            nodes=self.nodes,
-            ta_count=self.ta_count,
-            duration_s=self.duration_s,
-        )
-
-    def _validate_service(self, raw: dict[str, Any]) -> None:
-        # Imported here: repro.service pulls in the experiment runner,
-        # which this module's import graph already sits on top of.
-        from repro.service.config import ServiceConfig
-
-        config = ServiceConfig.from_dict(raw)
-        if config.quorum > self.nodes:
-            raise ConfigurationError(
-                f"service.quorum: fan-out of {config.quorum} exceeds the "
-                f"cluster of {self.nodes} node(s)"
-            )
-        if config.start_s >= self.duration_s:
-            raise ConfigurationError(
-                f"service.start_s: warm-up of {config.start_s}s leaves no "
-                f"room in a {self.duration_s}s run"
-            )
 
     def _validate_attack(self, attack: dict[str, Any]) -> None:
         kind = attack.get("type")
@@ -467,26 +383,9 @@ class ExperimentSpec:
         return cls.from_json(Path(path).read_text())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "seed": self.seed,
-                "duration_s": self.duration_s,
-                "nodes": self.nodes,
-                "protocol": self.protocol,
-                "environments": {str(k): v for k, v in self.environments.items()},
-                "machine_wide_mean_s": self.machine_wide_mean_s,
-                "machine_wide_correlation": self.machine_wide_correlation,
-                "ta_count": self.ta_count,
-                "attacks": self.attacks,
-                "schedule": self.schedule,
-                "service": self.service,
-                "membership": self.membership,
-                "churn": self.churn,
-                "faults": self.faults,
-            },
-            indent=2,
-        )
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["environments"] = {str(k): v for k, v in self.environments.items()}
+        return json.dumps(raw, indent=2)
 
     # -- compilation ------------------------------------------------------------
 
@@ -548,23 +447,8 @@ class ExperimentSpec:
             self._apply_schedule_entry(experiment, index, entry)
         if self.churn is not None:
             self._apply_churn(experiment)
-        if self.service is not None:
-            from repro.service import ServiceConfig, TimeService
-
-            TimeService.attach(experiment, ServiceConfig.from_dict(self.service))
-        if self.membership is not None:
-            from repro.membership.config import MembershipConfig
-            from repro.membership.engine import MembershipController
-
-            raw = dict(self.membership)
-            mode = raw.pop("mode", "observe")
-            MembershipController.attach(
-                experiment, config=MembershipConfig.from_dict(raw), mode=mode
-            )
-        if self.faults is not None:
-            from repro.faults import apply_fault_plan
-
-            apply_fault_plan(experiment, self._fault_plan())
+        for plane, block in carried_blocks(self):
+            plane.attach(experiment, block)
         return experiment
 
     def _apply_churn(self, experiment: Experiment) -> None:
@@ -733,41 +617,18 @@ class ExperimentSpec:
             at(sim, t_ns, adversary.enable, name=f"{tag}-start")
             if stop_ns is not None:
                 at(sim, stop_ns, adversary.disable, name=f"{tag}-stop")
-        elif primitive == "node-crash":
-            index = int(params["node"])
-            down_ns = max(int(float(params.get("down_ms", 500)) * MILLISECOND), 1)
+        elif primitive in ("node-crash", "ta-outage", "partition"):
+            from repro.faults.inject import schedule_fault
+            from repro.faults.plan import FaultEvent
 
-            def crash(cluster=cluster, index=index):
-                cluster.crash_node(index)
-
-            def restart(cluster=cluster, index=index):
-                cluster.restart_node(index)
-
-            at(sim, t_ns, crash, name=f"{tag}-node{index}")
-            at(sim, t_ns + down_ns, restart, name=f"{tag}-restart-node{index}")
-        elif primitive == "ta-outage":
-
-            def ta_down(cluster=cluster):
-                cluster.set_ta_down(True)
-
-            def ta_up(cluster=cluster):
-                cluster.set_ta_down(False)
-
-            at(sim, t_ns, ta_down, name=f"{tag}-down")
-            if stop_ns is not None:
-                at(sim, stop_ns, ta_up, name=f"{tag}-up")
-        elif primitive == "partition":
-            index = int(params["node"])
-
-            def cut(cluster=cluster, tag=tag, index=index):
-                cluster.open_partition(tag, [index])
-
-            def heal(cluster=cluster, tag=tag):
-                cluster.heal_partition(tag)
-
-            at(sim, t_ns, cut, name=f"{tag}-open")
-            if stop_ns is not None:
-                at(sim, stop_ns, heal, name=f"{tag}-heal")
+            if primitive == "node-crash":
+                fault = {"node": int(params["node"])}
+                stop_ns = t_ns + max(int(float(params.get("down_ms", 500)) * MILLISECOND), 1)
+            elif primitive == "partition":
+                fault = {"island": [int(params["node"])], "name": tag}
+            else:
+                fault = {}
+            schedule_fault(experiment, FaultEvent(t_ns, primitive, fault, stop_ns), tag)
 
     @staticmethod
     def _ensure_schedule_source(cluster, index: int):
@@ -786,3 +647,6 @@ class ExperimentSpec:
                 core, ExponentialAexDelays(SECOND), cause="os", enabled=False
             )
         return source
+
+
+_SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))

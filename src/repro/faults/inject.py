@@ -10,7 +10,8 @@ the same spec remain byte-identical.
 
 If the cluster has an oracle attached, injection also arms the
 ``recovery`` invariant: after the plan's last heal instant, every node
-must report ``OK`` within the plan's deadline.
+that was ``OK`` before the first fault must report ``OK`` within the
+plan's deadline (see :func:`repro.faults.recovery.recovery_verdicts`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import dataclasses
 from typing import TYPE_CHECKING
 
 from repro.attacks.scheduler import at
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runner import Experiment
@@ -28,66 +29,48 @@ if TYPE_CHECKING:  # pragma: no cover
 def apply_fault_plan(experiment: "Experiment", plan: FaultPlan) -> None:
     """Schedule the plan's faults and arm the recovery contract."""
     cluster = experiment.cluster
-    sim = experiment.sim
-    network = cluster.network
-
     for node in cluster.nodes:
         if plan.retry_overrides:
             node.config = dataclasses.replace(node.config, **plan.retry_overrides)
-
     for position, event in enumerate(plan.events):
-        tag = f"faults[{position}]/{event.kind}"
-        if event.kind == "node-crash":
-            index = event.params["node"]
+        schedule_fault(experiment, event, f"faults[{position}]/{event.kind}")
+    if cluster.oracle is not None:
+        cluster.oracle.expect_recovery(plan)
 
-            def crash(cluster=cluster, index=index):
-                cluster.crash_node(index)
 
-            def restart(cluster=cluster, index=index):
-                cluster.restart_node(index)
+def schedule_fault(experiment: "Experiment", event: FaultEvent, tag: str) -> None:
+    """Schedule one fault's inject and heal (no heal if ``heal_ns`` is None).
 
-            at(sim, event.t_ns, crash, name=f"{tag}-node{index}")
-            at(sim, event.heal_ns, restart, name=f"{tag}-restart-node{index}")
-        elif event.kind == "ta-outage":
-            ta_index = event.params["ta"] - 1
+    Also compiles the spec schedule's fault primitives (``node-crash``,
+    ``ta-outage``, ``partition``), which is why a heal may be absent.
+    """
+    cluster = experiment.cluster
+    network = cluster.network
+    params = event.params
+    if event.kind == "node-crash":
+        index = params["node"]
+        inject = (lambda: cluster.crash_node(index), f"{tag}-node{index}")
+        heal = (lambda: cluster.restart_node(index), f"{tag}-restart-node{index}")
+    elif event.kind == "ta-outage":
+        ta_index = params.get("ta", 1) - 1
+        inject = (lambda: cluster.set_ta_down(True, ta_index=ta_index), f"{tag}-down")
+        heal = (lambda: cluster.set_ta_down(False, ta_index=ta_index), f"{tag}-up")
+    elif event.kind == "partition":
+        name = params["name"]
+        inject = (lambda: cluster.open_partition(name, params["island"]), f"{tag}-open")
+        heal = (lambda: cluster.heal_partition(name), f"{tag}-heal")
+    else:  # loss-burst
+        # Restore whatever rate was in effect when the burst started (the
+        # spec-configured base rate, normally zero). Bursts are validated
+        # non-overlapping, so fire-time capture is sound.
+        saved: dict[str, float] = {}
 
-            def down(cluster=cluster, ta_index=ta_index):
-                cluster.set_ta_down(True, ta_index=ta_index)
+        def start_burst() -> None:
+            saved["previous"] = network.drop_probability
+            network.set_drop_probability(params["drop_probability"])
 
-            def up(cluster=cluster, ta_index=ta_index):
-                cluster.set_ta_down(False, ta_index=ta_index)
-
-            at(sim, event.t_ns, down, name=f"{tag}-down")
-            at(sim, event.heal_ns, up, name=f"{tag}-up")
-        elif event.kind == "partition":
-            name = event.params["name"]
-            island = event.params["island"]
-
-            def open_partition(cluster=cluster, name=name, island=island):
-                cluster.open_partition(name, island)
-
-            def heal_partition(cluster=cluster, name=name):
-                cluster.heal_partition(name)
-
-            at(sim, event.t_ns, open_partition, name=f"{tag}-open")
-            at(sim, event.heal_ns, heal_partition, name=f"{tag}-heal")
-        elif event.kind == "loss-burst":
-            probability = event.params["drop_probability"]
-            # Restore whatever rate was in effect when the burst started
-            # (the spec-configured base rate, normally zero). Bursts are
-            # validated non-overlapping, so fire-time capture is sound.
-            saved: dict[str, float] = {}
-
-            def start_burst(network=network, probability=probability, saved=saved):
-                saved["previous"] = network.drop_probability
-                network.set_drop_probability(probability)
-
-            def stop_burst(network=network, saved=saved):
-                network.set_drop_probability(saved["previous"])
-
-            at(sim, event.t_ns, start_burst, name=f"{tag}-start")
-            at(sim, event.heal_ns, stop_burst, name=f"{tag}-stop")
-
-    oracle = cluster.oracle
-    if oracle is not None and plan.events:
-        oracle.expect_recovery(plan.last_heal_ns, plan.recovery_deadline_ns)
+        inject = (start_burst, f"{tag}-start")
+        heal = (lambda: network.set_drop_probability(saved["previous"]), f"{tag}-stop")
+    at(experiment.sim, event.t_ns, inject[0], name=inject[1])
+    if event.heal_ns is not None:
+        at(experiment.sim, event.heal_ns, heal[0], name=heal[1])

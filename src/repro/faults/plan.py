@@ -17,7 +17,7 @@ within ``recovery_deadline_s`` of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
@@ -61,12 +61,16 @@ DEFAULT_RECOVERY_DEADLINE_S = 15.0
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One validated, normalized fault: inject at ``t_ns``, heal at ``heal_ns``."""
+    """One validated, normalized fault: inject at ``t_ns``, heal at ``heal_ns``.
+
+    Plan faults always heal; a spec schedule primitive without a
+    ``duration_ms`` compiles to ``heal_ns=None`` (never heals).
+    """
 
     t_ns: int
     kind: str
     params: Mapping[str, Any]
-    heal_ns: int
+    heal_ns: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,12 @@ class FaultPlan:
         *,
         nodes: int,
         ta_count: int = 1,
-        duration_s: float,
+        duration_s: Optional[float] = None,
     ) -> "FaultPlan":
-        """Validate a spec ``faults`` block against the cluster shape."""
+        """Validate a spec ``faults`` block against the cluster shape.
+
+        With ``duration_s``, also check that every fault heals in-run.
+        """
         if not isinstance(raw, dict):
             raise ConfigurationError(
                 f"faults: block must be an object, got {type(raw).__name__}"
@@ -114,7 +121,7 @@ class FaultPlan:
         schedule = raw.get("schedule", [])
         if not isinstance(schedule, list):
             raise ConfigurationError("faults.schedule: must be a list of entries")
-        duration_ns = int(duration_s * SECOND)
+        duration_ns = None if duration_s is None else int(duration_s * SECOND)
         events = []
         for index, entry in enumerate(schedule):
             events.append(
@@ -227,14 +234,14 @@ def _window_ns(where: str, key: str, value: Any) -> int:
     return max(int(float(value) * MILLISECOND), 1)
 
 
-def _check_windows(events: list[FaultEvent], duration_ns: int) -> None:
+def _check_windows(events: list[FaultEvent], duration_ns: Optional[int]) -> None:
     """Cross-entry checks: everything heals in-run, no impossible overlaps."""
     crash_windows: dict[int, tuple[int, int, int]] = {}
     burst_close_ns = -1
     partition_names: set[str] = set()
     for position, event in enumerate(events):
         where = f"faults.schedule[{position}]"
-        if event.heal_ns >= duration_ns:
+        if duration_ns is not None and event.heal_ns >= duration_ns:
             raise ConfigurationError(
                 f"{where}: {event.kind} heals at {event.heal_ns / SECOND:.3f}s, "
                 f"past the {duration_ns / SECOND:.3f}s run — every fault must "

@@ -13,7 +13,7 @@ enclave crashed (service lost) to the first ``OK`` after its restart
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.core.states import NodeState
 from repro.faults.plan import FaultPlan
@@ -33,16 +33,41 @@ def _first_ok_after(timeline, t_ns: int) -> Optional[int]:
     return None
 
 
+def recovery_verdicts(nodes: Iterable, plan: FaultPlan) -> dict[str, Optional[bool]]:
+    """The one definition of "recovered", shared by oracle and report.
+
+    A node is judged only if it was ``OK`` before the first fault: a node
+    still in its first calibration when the faults began had no service
+    to lose, and a slow first calibration is the paper's
+    calibration-starvation finding, not a recovery failure (a plan
+    without faults judges nobody). A judged node recovered if it is
+    ``OK`` at some instant in ``[last heal, last heal + deadline]``.
+    Unjudged nodes map to ``None``.
+    """
+    first_fault_ns = plan.events[0].t_ns if plan.events else None
+    heal_ns = plan.last_heal_ns
+    verdicts: dict[str, Optional[bool]] = {}
+    for node in nodes:
+        first_ok_ns = _first_ok_after(node.timeline, 0)
+        if first_fault_ns is None or first_ok_ns is None or first_ok_ns >= first_fault_ns:
+            verdicts[node.name] = None
+            continue
+        ok_ns = _first_ok_after(node.timeline, heal_ns)
+        deadline_ns = heal_ns + plan.recovery_deadline_ns
+        verdicts[node.name] = ok_ns is not None and ok_ns <= deadline_ns
+    return verdicts
+
+
 def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]:
     """The deterministic MTTR / recovery summary for a finished run."""
     cluster = experiment.cluster
     now_ns = experiment.sim.now
     heal_ns = plan.last_heal_ns
     deadline_ns = plan.recovery_deadline_ns
+    verdicts = recovery_verdicts(cluster.nodes, plan)
 
     nodes: dict[str, Any] = {}
     mttr_all_ms: list[float] = []
-    recovered_all = True
     for node in cluster.nodes:
         timeline = node.timeline
         crash_times = [
@@ -60,19 +85,13 @@ def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]
                 mttr_ms.append(None)
             else:
                 mttr_ms.append(round((ok_ns - crash_ns) / MILLISECOND, 3))
-        first_ok_post_heal = _first_ok_after(timeline, heal_ns)
-        recovered = (
-            first_ok_post_heal is not None
-            and first_ok_post_heal <= heal_ns + deadline_ns
-        )
-        recovered_all = recovered_all and recovered
         span_ns = now_ns - timeline.changes[0].time_ns
         nodes[node.name] = {
             "crashes": node.stats.crashes,
             "parks": node.stats.parks,
             "retry_backoffs": node.stats.ta_fetch_backoffs,
             "mttr_ms": mttr_ms,
-            "recovered": recovered,
+            "recovered": verdicts[node.name],
             "ok_at_end": timeline.current is NodeState.OK,
             "availability_pct": (
                 round(timeline.availability(now_ns) * 100.0, 3) if span_ns > 0 else 0.0
@@ -87,7 +106,7 @@ def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]
         ],
         "last_heal_s": round(heal_ns / SECOND, 6),
         "recovery_deadline_s": round(deadline_ns / SECOND, 6),
-        "recovered_all": recovered_all,
+        "recovered_all": False not in verdicts.values(),
         "mttr_max_ms": max(mttr_all_ms) if mttr_all_ms else None,
         "nodes": {name: nodes[name] for name in sorted(nodes)},
         "ta": {
@@ -103,6 +122,10 @@ def recovery_report(experiment: "Experiment", plan: FaultPlan) -> dict[str, Any]
     if oracle is not None:
         report["violations"] = [v.to_dict() for v in oracle.violations]
     return report
+
+
+#: Recovery-table cell per verdict (``None``: node not judged).
+_VERDICT_CELLS = {True: "yes", False: "NO", None: "-"}
 
 
 def render_recovery_report(report: dict[str, Any]) -> str:
@@ -123,7 +146,7 @@ def render_recovery_report(report: dict[str, Any]) -> str:
             f"{name:<8} {row['crashes']:>7} {row['parks']:>5} "
             f"{row['retry_backoffs']:>8} {mttr:>12} "
             f"{row['availability_pct']:>7.2f} "
-            f"{'yes' if row['recovered'] else 'NO':>9}"
+            f"{_VERDICT_CELLS[row['recovered']]:>9}"
         )
     dropped = report["network"]["dropped_count"]
     reasons = ", ".join(

@@ -13,9 +13,11 @@ objects. That buys three things at once:
   nothing else, so the result is a pure function of the task.
 
 Executors are registered per ``kind`` with :func:`register_runner`; the
-built-in kinds are ``sweep-point``, ``spec``, ``service``, ``hunt-genome``,
-``membership`` and ``experiment``. An
-executor returns a JSON-able dict (it must round-trip through
+built-in kinds are ``sweep-point``, ``spec``, ``hunt-genome`` and
+``experiment``. ``spec`` is the one kind that runs declarative specs: its
+value carries the report of every plane the run attached (``service``,
+``membership``, ``faults``; see :mod:`repro.planes`). An executor
+returns a JSON-able dict (it must round-trip through
 ``json.dumps``/``loads`` unchanged — the cache stores it that way) and
 should include a ``sim_ns`` entry so telemetry can report simulated
 seconds per wall second.
@@ -135,60 +137,29 @@ def runner_for(kind: str) -> Callable[[RunTask], dict]:
 def execute_task(task: RunTask) -> dict:
     """Run a task in-process and return its JSON-able result value.
 
-    When ``task.overrides["oracle"]`` is ``warn`` or ``strict``, the
-    matching oracle policy is installed for the duration of the run (this
-    is how the oracle mode crosses worker-process boundaries: it rides in
-    the pickled task, not in inherited process state). Violations observed
-    by any oracle the run created are appended to the result value under
+    The policies ``task.overrides`` names (``oracle``, ``membership``; see
+    :mod:`repro.policy`) are installed for the duration of the run — this
+    is how a mode crosses worker-process boundaries: it rides in the
+    pickled task, not in inherited process state. Violations observed by
+    any oracle the run created are appended to the result value under
     ``"violations"``; in strict mode, unexpected violations raise
     :class:`~repro.errors.OracleViolationError`.
     """
-    mode = str(task.overrides.get("oracle") or "off")
-    membership_mode = str(task.overrides.get("membership") or "off")
-    if mode == "off" and membership_mode == "off":
-        return runner_for(task.kind)(task)
+    from repro.policy import installed_policies
 
-    from contextlib import ExitStack
-
-    controllers: list = []
-    oracles: list = []
-    with ExitStack() as stack:
-        if membership_mode != "off":
-            from repro.membership.policy import (
-                drain_created_controllers,
-                membership_policy,
-            )
-
-            stack.enter_context(membership_policy(membership_mode))
-            drain_created_controllers()
-        if mode != "off":
-            from repro.oracle.policy import drain_created_oracles, oracle_policy
-
-            stack.enter_context(oracle_policy(mode))
-            drain_created_oracles()
-        try:
-            value = runner_for(task.kind)(task)
-        finally:
-            if membership_mode != "off":
-                controllers = drain_created_controllers()
-            if mode != "off":
-                oracles = drain_created_oracles()
+    with installed_policies(task.overrides) as created:
+        value = runner_for(task.kind)(task)
 
     # (node, invariant) pairs the membership engine downgraded to expected
     # by quarantining/evicting the node — a cut node's violations are the
     # containment working, so strict mode must not fail on them.
     downgrades: set = set()
-    reports: list[dict] = []
-    for controller in controllers:
+    for controller in created.get("membership", []):
         downgrades |= controller.expected_downgrades
-        if not controller.retired:
-            reports.append(controller.report())
-    if isinstance(value, dict) and reports:
-        value = {**value, "membership": reports[0] if len(reports) == 1 else reports}
 
     violations: list[dict] = []
     unexpected: list[dict] = []
-    for oracle in oracles:
+    for oracle in created.get("oracle", []):
         if not oracle.name:
             # Scenario runners name their oracle (and freeze its expected
             # set) through Experiment.run; this is the fallback for runs
@@ -205,7 +176,7 @@ def execute_task(task: RunTask) -> dict:
         unexpected.extend(v.to_dict() for v in oracle.unexpected_violations())
     if isinstance(value, dict) and violations:
         value = {**value, "violations": violations}
-    if unexpected and mode == "strict":
+    if unexpected and task.overrides.get("oracle") == "strict":
         pairs = sorted({f"{v['node']}/{v['invariant']}" for v in unexpected})
         raise OracleViolationError(
             f"task {task.name!r}: {len(unexpected)} unexpected invariant "
@@ -265,104 +236,32 @@ def _run_sweep_point(task: RunTask) -> dict:
     }
 
 
+def spec_result(spec, experiment) -> dict:
+    """JSON-able value of a finished spec run: the drift table plus the
+    report of every plane attached to it (``rendered`` shows both)."""
+    from repro.experiments.figures import DriftFigureResult
+    from repro.planes import attached_reports, render_reports
+
+    result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
+    reports = attached_reports(experiment)
+    rendered = result.render(f"spec: {spec.name} ({spec.protocol}, {spec.duration_s:.0f}s)")
+    return {
+        "spec": spec.name,
+        "rendered": "\n\n".join(filter(None, [rendered, render_reports(reports)])),
+        "frequencies_mhz": result.frequencies_mhz(),
+        "availability": result.availability(),
+        "reports": reports,
+        "sim_ns": spec.duration_ns,
+    }
+
+
 @register_runner("spec")
 def _run_spec(task: RunTask) -> dict:
     """Execute a declarative experiment spec (``repro.experiments.spec``)."""
-    from repro.experiments.figures import DriftFigureResult
     from repro.experiments.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    experiment = spec.run()
-    result = DriftFigureResult(experiment=experiment, duration_ns=spec.duration_ns)
-    return {
-        "spec": spec.name,
-        "rendered": result.render(
-            f"spec: {spec.name} ({spec.protocol}, {spec.duration_s:.0f}s)"
-        ),
-        "frequencies_mhz": result.frequencies_mhz(),
-        "availability": result.availability(),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("service")
-def _run_service(task: RunTask) -> dict:
-    """Execute a service-workload spec and report client-visible SLOs."""
-    from repro.experiments.spec import ExperimentSpec
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.service is None:
-        raise FleetError(
-            f"service task {task.name!r} needs a spec with a 'service' block"
-        )
-    experiment = spec.run()
-    report = experiment.service.report()
-    return {
-        "spec": spec.name,
-        "report": report.to_dict(),
-        "rendered": report.render(),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("membership")
-def _run_membership(task: RunTask) -> dict:
-    """Execute a membership-plane spec and report verdicts/containment."""
-    from repro.experiments.spec import ExperimentSpec
-    from repro.membership.engine import render_report
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.membership is None:
-        raise FleetError(
-            f"membership task {task.name!r} needs a spec with a 'membership' block"
-        )
-    experiment = spec.run()
-    report = experiment.membership.report()
-    drift = {
-        node.name: experiment.recorder[node.name].samples[-1][1]
-        if experiment.recorder[node.name].samples
-        else None
-        for node in experiment.cluster.nodes
-    }
-    return {
-        "spec": spec.name,
-        "report": report,
-        "final_drift_ns": drift,
-        "rendered": render_report(report),
-        "sim_ns": spec.duration_ns,
-    }
-
-
-@register_runner("faults")
-def _run_faults(task: RunTask) -> dict:
-    """Execute a fault-injection spec and report recovery/MTTR."""
-    from repro.experiments.spec import ExperimentSpec
-    from repro.faults import FaultPlan, recovery_report, render_recovery_report
-
-    spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    if spec.faults is None:
-        raise FleetError(
-            f"faults task {task.name!r} needs a spec with a 'faults' block"
-        )
-    experiment = spec.run()
-    plan = FaultPlan.from_spec(
-        spec.faults,
-        nodes=spec.nodes,
-        ta_count=spec.ta_count,
-        duration_s=spec.duration_s,
-    )
-    report = recovery_report(experiment, plan)
-    rendered = render_recovery_report(report)
-    if experiment.service is not None:
-        service_report = experiment.service.report()
-        report["service"] = service_report.to_dict()
-        rendered += "\n\n" + service_report.render()
-    return {
-        "spec": spec.name,
-        "report": report,
-        "rendered": rendered,
-        "sim_ns": spec.duration_ns,
-    }
+    return spec_result(spec, spec.run())
 
 
 @register_runner("hunt-genome")

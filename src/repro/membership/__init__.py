@@ -15,8 +15,9 @@ peer equally forever. This package adds the missing control plane:
   (:func:`repro.net.crypto.derive_epoch_secret`);
 * :mod:`repro.membership.config` — the validated ``membership`` spec
   block;
-* :mod:`repro.membership.policy` — the process-wide ``--membership``
-  policy mirroring :mod:`repro.oracle.policy`.
+* :mod:`repro.membership.plane` — the spec ``membership`` plane and the
+  process-wide ``--membership`` policy that attaches the same engine to
+  runs that build no spec.
 
 Cluster churn (join/leave/rejoin) is the companion scenario axis, wired
 in :class:`repro.core.cluster.TriadCluster`; the headline experiment —
@@ -28,16 +29,15 @@ pinned in ``tests/membership/`` and documented in ``docs/membership.md``.
 from repro.membership.config import MembershipConfig
 from repro.membership.engine import CONTROLLER_MODES, MembershipController, render_report
 from repro.membership.evidence import EpochEvidence, EvidenceCollector, member_median
-from repro.membership.policy import (
-    MEMBERSHIP_MODES,
-    MembershipPolicy,
-    clear_membership_policy,
-    current_policy,
-    drain_created_controllers,
-    install_membership_policy,
-    membership_policy,
-)
+from repro.membership.plane import MEMBERSHIP_MODES, POLICY
 from repro.membership.verdicts import MembershipEvent, MembershipVerdict
+
+#: The ``--membership`` policy's scoped API (see :mod:`repro.policy`).
+current_policy = POLICY.current
+install_membership_policy = POLICY.install
+clear_membership_policy = POLICY.clear
+membership_policy = POLICY.scoped
+drain_created_controllers = POLICY.drain
 
 __all__ = [
     "CONTROLLER_MODES",
@@ -47,7 +47,6 @@ __all__ = [
     "MembershipConfig",
     "MembershipController",
     "MembershipEvent",
-    "MembershipPolicy",
     "MembershipVerdict",
     "clear_membership_policy",
     "current_policy",

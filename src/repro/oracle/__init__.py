@@ -17,7 +17,6 @@ from repro.oracle.expectations import (
 from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
 from repro.oracle.policy import (
     ORACLE_MODES,
-    OraclePolicy,
     attach_from_policy,
     clear_oracle_policy,
     current_policy,
@@ -41,7 +40,6 @@ __all__ = [
     "InvariantOracle",
     "ORACLE_MODES",
     "OracleConfig",
-    "OraclePolicy",
     "SEVERITIES",
     "SEVERITY_WEIGHTS",
     "Violation",

@@ -104,12 +104,9 @@ class InvariantOracle:
         self._last_scan_ns: Optional[int] = None
         self._hooked = False
         self._finalized = False
-        #: Recovery contract installed by the fault plane (see
-        #: :meth:`expect_recovery`): (heal_ns, deadline_ns, node names or
-        #: None for "all watched").
-        self._recovery: Optional[tuple[int, int, Optional[frozenset]]] = None
-        self._recovered: set[str] = set()
-        self._recovery_flagged: set[str] = set()
+        #: Fault plan whose recovery contract is still to be judged (see
+        #: :meth:`expect_recovery`).
+        self._recovery_plan = None
 
     # -- attachment ---------------------------------------------------------------
 
@@ -136,23 +133,16 @@ class InvariantOracle:
         """Watched node names, in attachment order."""
         return list(self._nodes)
 
-    def expect_recovery(
-        self,
-        heal_ns: int,
-        deadline_ns: int,
-        nodes: Optional[Iterable[str]] = None,
-    ) -> None:
-        """Install the fault plane's recovery contract.
+    def expect_recovery(self, plan) -> None:
+        """Install a fault plan's recovery contract.
 
-        After the last injected fault heals at ``heal_ns``, every node in
-        ``nodes`` (default: all watched honest nodes) must report ``OK``
-        at least once within ``deadline_ns`` — otherwise one ``recovery``
-        violation per straggler is recorded. This is the liveness
+        Once ``plan``'s deadline after its last heal passes, every node
+        :func:`repro.faults.recovery.recovery_verdicts` judges and finds
+        unrecovered gets one ``recovery`` violation. This is the liveness
         counterpart of the drift bound: a protocol that survives faults
         by staying dark forever has not recovered.
         """
-        names = frozenset(nodes) if nodes is not None else None
-        self._recovery = (heal_ns, deadline_ns, names)
+        self._recovery_plan = plan
 
     # -- event intake --------------------------------------------------------------
 
@@ -165,7 +155,6 @@ class InvariantOracle:
         elif event.kind == "state":
             if event.data.get("state") is NodeState.OK:
                 self._check_clock(self._nodes[event.node], event.time_ns)
-                self._note_recovery(event.node, event.time_ns)
         elif event.kind == "calibration":
             self._mark_refreshed(event.node, event.time_ns)
         elif event.kind == "crash":
@@ -183,7 +172,6 @@ class InvariantOracle:
         self._last_served.pop(event.node, None)
         self._mark_refreshed(event.node, event.time_ns)
         self._active = {key for key in self._active if key[0] != event.node}
-        self._recovered.discard(event.node)
 
     def _on_advance(self, now_ns: int) -> None:
         if self._last_scan_ns is not None:
@@ -258,33 +246,19 @@ class InvariantOracle:
             bound_ns=deadline,
         )
 
-    def _note_recovery(self, node_name: str, now_ns: int) -> None:
-        """Record that a node reached OK after the last fault healed."""
-        if self._recovery is None:
-            return
-        heal_ns, _deadline_ns, _names = self._recovery
-        if now_ns >= heal_ns:
-            self._recovered.add(node_name)
-
     def _check_recovery(self, now_ns: int) -> None:
-        """The recovery invariant: all required nodes OK post-heal in time."""
-        if self._recovery is None:
+        """The recovery invariant, judged once when the deadline passes."""
+        plan = self._recovery_plan
+        if plan is None or now_ns < plan.last_heal_ns + plan.recovery_deadline_ns:
             return
-        heal_ns, deadline_ns, names = self._recovery
-        required = names if names is not None else frozenset(self._nodes)
-        if now_ns >= heal_ns:
-            # A node that is OK *right now* has recovered, even if its
-            # last state probe predates the heal.
-            for name in required:
-                node = self._nodes.get(name)
-                if node is not None and getattr(node, "state", None) is NodeState.OK:
-                    self._recovered.add(name)
-        if now_ns < heal_ns + deadline_ns:
-            return
-        for name in sorted(required):
-            if name in self._recovered or name in self._recovery_flagged:
+        self._recovery_plan = None
+        from repro.faults.recovery import recovery_verdicts
+
+        heal_ns, deadline_ns = plan.last_heal_ns, plan.recovery_deadline_ns
+        verdicts = recovery_verdicts(self._nodes.values(), plan)
+        for name in sorted(verdicts):
+            if verdicts[name] is not False:
                 continue
-            self._recovery_flagged.add(name)
             self._record(
                 Violation(
                     time_ns=now_ns,

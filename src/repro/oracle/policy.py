@@ -1,116 +1,30 @@
-"""Process-wide oracle policy: how runs acquire their oracle.
+"""The ``--oracle`` policy (a :class:`~repro.policy.ScopedPolicy`).
 
-Oracles must cover every way a simulation is built — CLI ``run``,
-sweeps, specs, ``reproduce``, and fleet *worker processes* that rebuild
-clusters from pickled tasks. Threading an oracle argument through every
-constructor would touch dozens of signatures; instead the policy is a
-process-global that :class:`~repro.core.cluster.TriadCluster` consults at
-construction time. The CLI installs it once from ``--oracle``; fleet
-tasks carry the mode in their ``overrides`` payload and re-install it
-inside the worker, so the policy crosses process boundaries with the
-task, not by inheritance.
-
-Modes:
-
-* ``off`` — no oracle is attached (the default; zero overhead);
-* ``warn`` — violations are collected and reported, exit status unchanged;
-* ``strict`` — any violation outside the scenario's expected set raises
-  :class:`~repro.errors.OracleViolationError` (nonzero CLI exit).
+Modes: ``off`` attaches no oracle (the default); ``warn`` collects and
+reports violations, exit status unchanged; ``strict`` also raises
+:class:`~repro.errors.OracleViolationError` (nonzero CLI exit) on any
+violation outside the scenario's expected set.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
-
-from repro.errors import ConfigurationError
-from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.oracle.oracle import OracleConfig, watch_cluster
+from repro.policy import ScopedPolicy
 
 #: Valid oracle modes, in escalation order.
 ORACLE_MODES = ("off", "warn", "strict")
 
+POLICY = ScopedPolicy(
+    "oracle",
+    ORACLE_MODES,
+    OracleConfig,
+    lambda policy, sim, nodes: watch_cluster(sim, nodes, config=policy.config),
+)
 
-@dataclass(frozen=True)
-class OraclePolicy:
-    """The process-wide oracle setting."""
-
-    mode: str = "off"
-    config: OracleConfig = field(default_factory=OracleConfig)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ORACLE_MODES:
-            raise ConfigurationError(
-                f"unknown oracle mode {self.mode!r}; choose from {ORACLE_MODES}"
-            )
-
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    @property
-    def strict(self) -> bool:
-        return self.mode == "strict"
-
-
-_policy = OraclePolicy()
-
-#: Oracles created by :func:`attach_from_policy` since the last drain —
-#: how a fleet task recovers the oracle(s) of clusters its runner built
-#: internally (the runner returns figures, not wiring).
-_created_oracles: list[InvariantOracle] = []
-
-
-def drain_created_oracles() -> list[InvariantOracle]:
-    """Return and clear the oracles created since the previous drain."""
-    global _created_oracles
-    drained, _created_oracles = _created_oracles, []
-    return drained
-
-
-def current_policy() -> OraclePolicy:
-    """The policy in force for this process."""
-    return _policy
-
-
-def install_oracle_policy(mode: str, config: Optional[OracleConfig] = None) -> OraclePolicy:
-    """Set the process-wide policy (validates ``mode``)."""
-    global _policy
-    _policy = OraclePolicy(mode=mode, config=config or OracleConfig())
-    return _policy
-
-
-def clear_oracle_policy() -> None:
-    """Reset to the default (``off``)."""
-    global _policy
-    _policy = OraclePolicy()
-
-
-@contextmanager
-def oracle_policy(mode: str, config: Optional[OracleConfig] = None):
-    """Scoped policy install — restores the previous policy on exit."""
-    global _policy
-    previous = _policy
-    install_oracle_policy(mode, config)
-    try:
-        yield _policy
-    finally:
-        _policy = previous
-
-
-def attach_from_policy(sim: "Simulator", nodes: Iterable) -> Optional[InvariantOracle]:
-    """Build an oracle for a freshly wired cluster, per the active policy.
-
-    Returns ``None`` in ``off`` mode. Called by
-    :class:`~repro.core.cluster.TriadCluster` at the end of construction,
-    which is what makes oracle coverage universal: every code path that
-    builds a cluster gets watched without knowing the oracle exists.
-    """
-    if not _policy.enabled:
-        return None
-    oracle = watch_cluster(sim, nodes, config=_policy.config)
-    _created_oracles.append(oracle)
-    return oracle
+current_policy = POLICY.current
+install_oracle_policy = POLICY.install
+clear_oracle_policy = POLICY.clear
+oracle_policy = POLICY.scoped
+drain_created_oracles = POLICY.drain
+#: ``attach_from_policy(sim, nodes)``, called by every new cluster.
+attach_from_policy = POLICY.attach

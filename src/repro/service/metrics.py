@@ -16,7 +16,7 @@ lets CI ``cmp`` the JSON across ``--jobs 1`` and ``--jobs 2`` runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.analysis.report import format_table
@@ -200,6 +200,13 @@ class ServiceReport:
                 name: _sorted_dict(row) for name, row in sorted(self.frontends.items())
             },
         }
+
+    @classmethod
+    def from_dict(cls, raw: dict[str, Any]) -> "ServiceReport":
+        """Inverse of :meth:`to_dict` (the derived rates are recomputed)."""
+        values = {f.name: raw[f.name] for f in fields(cls)}
+        values["served_by_kind"] = tuple(values["served_by_kind"])
+        return cls(**values)
 
     def render(self) -> str:
         """Human-readable summary tables."""

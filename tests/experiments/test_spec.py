@@ -68,6 +68,23 @@ class TestSerialization:
         restored = ExperimentSpec.from_json(spec.to_json())
         assert restored == spec
 
+    def test_json_round_trip_with_every_block(self):
+        spec = minimal_spec(
+            nodes=4,
+            environments={str(i): "triad-like" for i in range(1, 5)},
+            service={"sessions": 1000, "quorum": 3},
+            membership={"mode": "enforce", "epoch_s": 1.0},
+            churn={"absent": [4], "schedule": [{"t_s": 2.0, "node": 4, "action": "join"}]},
+            faults={
+                "schedule": [{"t_s": 12.0, "kind": "node-crash", "node": 2}],
+                "recovery_deadline_s": 10.0,
+            },
+        )
+        text = spec.to_json()
+        restored = ExperimentSpec.from_json(text)
+        assert restored == spec
+        assert restored.to_json() == text
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(minimal_spec().to_json())

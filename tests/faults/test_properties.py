@@ -9,7 +9,7 @@ crashes, a TA outage, a partition, and a loss burst — all constrained
 to heal by ``duration - deadline`` so the oracle can actually judge
 recovery in-run."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.spec import ExperimentSpec
 from repro.faults import FaultPlan, recovery_report
@@ -107,6 +107,12 @@ def fault_schedules(draw):
 
 class TestLivenessUnderFaults:
     @given(schedule=fault_schedules(), seed=st.integers(min_value=1, max_value=50))
+    # With no faults at all, seeds 4 and 50 starve one node's *first*
+    # calibration (Triad-like AEXs taint it mid FULL_CALIB) past the
+    # deadline. A node that was never OK before the first fault is not
+    # judged; these draws once failed recovered_all and stay pinned.
+    @example(schedule=[], seed=4)
+    @example(schedule=[], seed=50)
     @settings(max_examples=8, deadline=None)
     def test_faults_healing_before_deadline_window_always_recover(
         self, schedule, seed

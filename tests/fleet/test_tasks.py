@@ -66,6 +66,12 @@ class TestRegistry:
         for kind in ("sweep-point", "spec", "experiment"):
             assert callable(runner_for(kind))
 
+    def test_spec_is_the_only_kind_that_runs_specs(self):
+        # Every plane reports through the one "spec" kind, not a kind of its own.
+        for kind in ("service", "membership", "faults"):
+            with pytest.raises(FleetError, match="no runner registered"):
+                runner_for(kind)
+
     def test_result_sim_ns_tolerates_non_dicts(self):
         assert result_sim_ns("text") == 0
         assert result_sim_ns({"sim_ns": "nope"}) == 0
@@ -99,4 +105,24 @@ class TestBuiltinRunners:
         value = execute_task(task)
         assert value["spec"] == "fleet-spec-test"
         assert "node-1" in value["rendered"]
+        assert value["reports"] == {}  # no plane blocks, no plane reports
         assert value["sim_ns"] == 10_000_000_000
+
+    def test_spec_runner_reports_every_attached_plane(self):
+        spec = {
+            "name": "fleet-planes-test",
+            "seed": 13,
+            "duration_s": 14,
+            "nodes": 3,
+            "environments": {str(i): "triad-like" for i in range(1, 4)},
+            "service": {"sessions": 2000, "quorum": 3},
+            "membership": {"mode": "observe"},
+            "faults": {"schedule": [{"t_s": 9.0, "kind": "ta-outage", "duration_ms": 500}]},
+        }
+        value = execute_task(RunTask(kind="spec", name="p", payload={"spec": spec}))
+        assert list(value["reports"]) == ["service", "membership", "faults"]
+        assert value["reports"]["service"]["sessions"] == 2000
+        assert "verdicts" in value["reports"]["membership"]
+        assert value["reports"]["faults"]["faults"]
+        for heading in ("service: fleet-planes-test", "membership", "verdict:"):
+            assert heading in value["rendered"]

@@ -1,10 +1,10 @@
-"""Spec-level membership/churn blocks and the fleet ``membership`` runner."""
+"""Spec-level membership/churn blocks and their reports from the fleet ``spec`` runner."""
 
 import json
 
 import pytest
 
-from repro.errors import ConfigurationError, FleetError
+from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.fleet.tasks import RunTask, execute_task
 
@@ -105,23 +105,23 @@ class TestChurnBlock:
 
 
 class TestFleetRunner:
-    def test_membership_task_reports_verdicts_and_drift(self):
+    def test_spec_task_reports_verdicts(self):
         task = RunTask(
             name="membership-unit",
-            kind="membership",
+            kind="spec",
             payload={"spec": _spec_dict(duration_s=3.0)},
         )
         value = execute_task(task)
         assert value["spec"] == "membership-unit"
-        assert set(value["report"]["verdicts"]) == {"node-1", "node-2", "node-3"}
-        assert set(value["final_drift_ns"]) == {"node-1", "node-2", "node-3"}
+        report = value["reports"]["membership"]
+        assert set(report["verdicts"]) == {"node-1", "node-2", "node-3"}
+        assert set(value["availability"]) == {"node-1", "node-2", "node-3"}
         assert "mode=observe" in value["rendered"]
         # The whole result is JSON-plain for fleet caching.
         assert json.loads(json.dumps(value)) == value
 
-    def test_spec_without_membership_block_is_a_fleet_error(self):
+    def test_spec_without_membership_block_reports_no_membership(self):
         spec = _spec_dict(duration_s=3.0)
         del spec["membership"]
-        task = RunTask(name="bad", kind="membership", payload={"spec": spec})
-        with pytest.raises(FleetError, match="membership"):
-            execute_task(task)
+        value = execute_task(RunTask(name="plain", kind="spec", payload={"spec": spec}))
+        assert "membership" not in value["reports"]

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -206,6 +209,29 @@ class TestRunSpec:
         for path in samples:
             spec = ExperimentSpec.load(path)
             spec.build()  # wiring must succeed without running
+
+
+class TestPlaneReports:
+    """Every path that runs a spec prints the report of every plane it attaches."""
+
+    SPECS = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+    def test_run_spec_prints_the_recovery_report(self, capsys):
+        assert main(["run-spec", str(self.SPECS / "faults_crash_partition.json")]) == 0
+        out = capsys.readouterr().out
+        assert "fault events:" in out
+        assert "verdict: RECOVERED" in out
+
+    def test_batch_prints_recovery_and_slo_reports(self, capsys, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        for name in ("faults_crash_partition.json", "service_quorum.json"):
+            shutil.copy(self.SPECS / name, specs / name)
+        assert main(["batch", str(specs), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: RECOVERED" in out
+        assert "service: " in out
+        assert "per-front-end" in out
 
 
 class TestOracleFlag:
