@@ -1,6 +1,6 @@
 # Convenience targets for the Triad reproduction.
 
-.PHONY: install test lint bench bench-kernel bench-membership bench-faults reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke clean
+.PHONY: install test lint bench bench-kernel bench-membership bench-faults reproduce figures sweeps hunt-smoke service-smoke membership-smoke faults-smoke perfbench-check clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -95,6 +95,22 @@ faults-smoke:
 	@if python -m repro faults --scenario no-retry --no-cache --oracle strict; then \
 		echo "no-retry baseline unexpectedly passed the strict oracle" >&2; exit 1; \
 	fi
+
+# The benchmark's correctness gate: perfbench's own tests, then a 1-s run
+# of every BENCHMARK.json workload untraced and traced. run.py exits 0 even
+# when an experiment fails (digest drift, or a tracer that can no longer
+# wrap its targets), so the last stdout line's "correct" flag decides.
+PERFBENCH_WORKLOADS = $(shell python3 -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+perfbench-check:
+	python3 -m pytest perfbench/tests
+	mkdir -p out/perfbench
+	for workload in $(PERFBENCH_WORKLOADS); do for trace in 0 1; do \
+		log=out/perfbench/$$workload-trace$$trace.log; \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 1 --trace $$trace > $$log || exit 1; \
+		cat $$log; \
+		tail -n 1 $$log | python3 -c 'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)' \
+			|| { echo "perfbench-check: $$workload --trace $$trace is not correct" >&2; exit 1; }; \
+	done; done
 
 figures:
 	python -m repro run fig2 --export out/fig2

@@ -57,6 +57,7 @@ def test_kernel_concurrent_processes(benchmark):
 
 def test_network_message_throughput(benchmark):
     """Sealed round trips across the simulated network."""
+    from repro.messages import PeerTimeRequest
     from repro.net import ConstantDelay, Network, SecureEndpoint
 
     def run_pingpong():
@@ -74,7 +75,7 @@ def test_network_message_throughput(benchmark):
 
         def alice_loop():
             for i in range(500):
-                alice.send("bob", i)
+                alice.send("bob", PeerTimeRequest(request_id=i))
                 yield alice.recv()
 
         sim.process(bob_loop())

@@ -1,8 +1,9 @@
 """EXT-MEMBERSHIP — epoch membership engine throughput at cluster scale.
 
 The membership plane's cost is per-epoch, per-link work: probe scoring
-against the member median, verdict transitions, and (in enforce mode) an
-AEAD re-key of every non-quarantined peer link. On a full mesh that is
+against the member median, verdict transitions, and (in enforce mode) a
+link-key rotation of every non-quarantined peer link (one HMAC per link;
+messages are sealed by reference, see :mod:`repro.net.crypto`). On a full mesh that is
 O(n²) per epoch, so cluster size is the axis that matters. This bench
 pins a 200-node enforce-mode run with live churn — node-epochs scored
 per wall-second is the headline — as the baseline for any future

@@ -12,7 +12,7 @@ Package map
 -----------
 ``repro.sim``         deterministic discrete-event kernel (integer-ns time)
 ``repro.hardware``    TSC / CPU / AEX / INC-monitor / MSR models
-``repro.net``         UDP-style network, AEAD sealing, on-path adversaries
+``repro.net``         UDP-style network, link-key sealing, on-path adversaries
 ``repro.authority``   Time Authority server and NTP-style sync primitives
 ``repro.core``        the Triad protocol (nodes, clusters, clocks, states)
 ``repro.attacks``     F+/F− delay attacks, scheduling and TSC attacks

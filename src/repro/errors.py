@@ -21,7 +21,7 @@ class ProtocolError(ReproError):
 
 
 class CryptoError(ReproError):
-    """Authenticated decryption failed (wrong key or tampered ciphertext)."""
+    """A message failed to seal or open (not a protocol message, wrong key, forged)."""
 
 
 class CalibrationError(ReproError):

@@ -337,7 +337,7 @@ class MembershipController:
 
         Members re-key *all* their node links (including links toward
         cut-off nodes), so member↔member traffic interoperates while
-        traffic to or from a non-member fails the AEAD tag check in both
+        traffic to or from a non-member fails the link-key check in both
         directions. TA links are left alone. Datagrams in flight across
         the rotation instant are lost — the modeled rotation cost.
         """

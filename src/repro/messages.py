@@ -1,8 +1,9 @@
 """Plaintext protocol messages exchanged by Triad participants.
 
-These dataclasses are what goes *inside* the AEAD envelope; the network and
-the adversary never see their fields. Two sub-protocols exist, matching the
-paper (§III-B):
+These dataclasses are what goes *inside* a sealed message
+(:class:`~repro.net.crypto.SealedMessage`); the network and the adversary
+never see their fields, only a fixed wire size per type. Two sub-protocols
+exist, matching the paper (§III-B):
 
 * **Node ↔ Time Authority**: :class:`TimeRequest` carries the requested
   waittime ``sleep_ns`` (the secret ``s`` of the calibration protocol);

@@ -1,9 +1,9 @@
-"""Simulated UDP network with AEAD-sealed payloads and on-path adversaries.
+"""Simulated UDP network with sealed payloads and on-path adversaries.
 
 The layering mirrors the paper's implementation: UDP datagrams, all
 payloads encrypted and authenticated (the paper uses AES-256-GCM; we model
-it with an equivalent AEAD, see :mod:`repro.net.crypto`), and an attacker
-whose power over traffic is exactly observe/delay/drop.
+what it guarantees, see :mod:`repro.net.crypto`), and an attacker whose
+power over traffic is exactly observe/delay/drop.
 """
 
 from repro.net.adversary import (

@@ -2,11 +2,13 @@
 
 Triad's attacker controls the OS/hypervisor of a compromised host, hence
 every datagram entering or leaving that host crosses attacker-controlled
-code. Because payloads are sealed (AEAD), the attacker's entire power over
+code. Because payloads are sealed, the attacker's entire power over
 traffic is: **observe metadata** (addresses, sizes, timing), **delay**, and
-**drop**. This module provides that capability as composable classes; the
-concrete F+/F− calibration attacks in :mod:`repro.attacks.delay` build on
-them.
+**drop**. This module provides that capability as composable classes and
+enforces its boundary: :meth:`NetworkAdversary.observe` hands attack logic
+only an :class:`Observation`, which is why :mod:`repro.net.crypto` can seal
+by reference. The concrete F+/F− calibration attacks in
+:mod:`repro.attacks.delay` build on these classes.
 
 An adversary is consulted by :class:`repro.net.channel.Network` for every
 datagram at send time; holding a datagram inside the compromised host's
@@ -45,8 +47,8 @@ PASS = Interference()
 class Observation:
     """What an on-path adversary records about one datagram.
 
-    Deliberately excludes the payload plaintext: with AEAD in place the
-    attacker sees only ciphertext, and we don't even hand it the bytes.
+    Deliberately excludes the payload: the attacker could see only
+    ciphertext, so it is handed nothing but the wire size.
     """
 
     time_ns: int

@@ -26,6 +26,7 @@ from repro.net.message import Address, Datagram
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.crypto import SealedMessage
     from repro.sim.kernel import Simulator
 
 #: Capacity of the :attr:`Network.dropped` ring. Large enough to inspect
@@ -45,7 +46,7 @@ class Socket:
         self.received_count = 0
         self.sent_count = 0
 
-    def send(self, destination: Address, payload: bytes) -> Datagram:
+    def send(self, destination: Address, payload: SealedMessage | bytes) -> Datagram:
         """Transmit a datagram; returns it (for logging/diagnostics)."""
         self.sent_count += 1
         return self.network.send(self.address, destination, payload)
@@ -187,7 +188,9 @@ class Network:
         self.drop_counts[reason] = self.drop_counts.get(reason, 0) + 1
         self.dropped.append(datagram)
 
-    def send(self, source: Address, destination: Address, payload: bytes) -> Datagram:
+    def send(
+        self, source: Address, destination: Address, payload: SealedMessage | bytes
+    ) -> Datagram:
         """Inject a datagram; delivery (if any) is scheduled asynchronously."""
         datagram = Datagram(
             source=source,

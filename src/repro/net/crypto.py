@@ -1,50 +1,45 @@
-"""Authenticated encryption for protocol messages.
+"""The secure channel: link keys and sealed protocol messages.
 
-The paper's implementation encrypts all protocol traffic with AES-256-GCM.
-What the *protocol analysis* needs from the cipher is exactly two
-properties, both of which this module provides functionally (not just as a
-flag on a dataclass):
+The paper encrypts all protocol traffic with AES-256-GCM. The protocol
+analysis needs two properties of it, and this module models each by the
+capability it grants rather than by bytes:
 
-* **Confidentiality** — an on-path adversary holding only the ciphertext
-  cannot recover the plaintext; in particular it cannot read the requested
-  TA waittime ``s`` and must infer it from timing (§III-C).
-* **Integrity** — any modification of the ciphertext is detected by the
-  receiver, which raises :class:`~repro.errors.CryptoError`. The adversary
-  is therefore limited to delaying, dropping, reordering, and replaying.
+* **Confidentiality** — the attacker cannot read the requested TA waittime
+  ``s`` and must infer it from timing (§III-C). No simulated party other
+  than the receiver reads a payload: adversaries are handed only an
+  :class:`~repro.net.adversary.Observation` (addresses, wire size, timing).
+  So :meth:`SecureChannelKey.seal` holds the message by reference.
+* **Integrity** — :meth:`SecureChannelKey.open` applies AEAD's acceptance
+  rule: a sealed message verifies only under the key it was sealed with,
+  and forged bytes never verify. The attacker is limited to delaying,
+  dropping, reordering and replaying.
 
-We implement an AEAD from primitives in the standard library: SHA-256 in
-counter mode as the keystream and HMAC-SHA256 over (nonce ‖ associated
-data ‖ ciphertext) as the tag. This is a *model* of AES-256-GCM — it is
-deterministic, dependency-free, and honest about being simulation-grade
-rather than production-grade crypto; the security *architecture* (what is
-hidden from whom) matches the paper's implementation exactly.
-
-Nonces are drawn from a per-key counter, mirroring GCM's
-counter-based-nonce deployment mode and keeping simulations reproducible.
+The wire size, the one payload property an observer sees, is fixed per
+message type (:data:`WIRE_BYTES`), as for the paper's fixed-size C++
+structs, so sizes never leak field values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import pickle
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import CryptoError
+from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest, TimeResponse
 
 #: Byte length of symmetric keys (matches AES-256).
 KEY_BYTES = 32
-#: Byte length of nonces (matches GCM's conventional 96-bit nonce).
-NONCE_BYTES = 12
-#: Byte length of authentication tags (GCM uses 128-bit tags).
-TAG_BYTES = 16
 
-#: Plaintexts are padded to a multiple of this before encryption. The
-#: paper's C++ implementation exchanges fixed-size structs; without
-#: padding, Python's variable-length serialization would leak message
-#: contents (e.g. the magnitude of the requested sleep) through datagram
-#: sizes — a side channel the modelled attacker must not have.
-PAD_BLOCK_BYTES = 128
+#: Wire size of each sealed message type: 12-B GCM IV + fixed-size struct
+#: (128 B; 256 B for the TA's five-field reply) + 16-B tag.
+WIRE_BYTES: dict[type, int] = {
+    TimeRequest: 156,
+    TimeResponse: 284,
+    PeerTimeRequest: 156,
+    PeerTimeResponse: 156,
+}
 
 
 def derive_key(*labels: str) -> bytes:
@@ -68,7 +63,7 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     hands it to every *member* endpoint, which folds it into each link key
     (:meth:`SecureChannelKey.rekey`). A node the controller withholds the
     secret from keeps sealing with its previous epoch key, and every
-    member rejects those blobs at :meth:`SecureChannelKey.open` — the
+    member rejects those messages at :meth:`SecureChannelKey.open` — the
     cryptographic cut that makes quarantine enforceable.
     """
     if epoch < 0:
@@ -76,22 +71,19 @@ def derive_epoch_secret(epoch: int, *labels: str) -> bytes:
     return derive_key("membership-epoch", str(epoch), *labels)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256-CTR keystream of ``length`` bytes."""
-    blocks = []
-    counter = 0
-    while sum(len(b) for b in blocks) < length:
-        blocks.append(hashlib.sha256(key + nonce + counter.to_bytes(8, "little")).digest())
-        counter += 1
-    return b"".join(blocks)[:length]
+@dataclass(frozen=True, slots=True)
+class SealedMessage:
+    """A protocol message sealed under a link key; ``len()`` is its wire size."""
 
+    key: bytes
+    message: Any
 
-def _xor(data: bytes, keystream: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, keystream))
+    def __len__(self) -> int:
+        return WIRE_BYTES[type(self.message)]
 
 
 class SecureChannelKey:
-    """A shared symmetric key with a nonce counter (one direction of use).
+    """The symmetric key of one link, rotated per membership epoch.
 
     Both ends of a channel may hold the same object in simulation; real
     deployments would split directions, which does not affect the analysis.
@@ -105,7 +97,6 @@ class SecureChannelKey:
         #: missed epochs re-keys to the current one in a single step.
         self._base_key = key
         self._key = key
-        self._nonce_counter = 0
         self.epoch = 0
 
     @classmethod
@@ -118,10 +109,10 @@ class SecureChannelKey:
 
         Both ends of a link hold the same base key, so feeding them the
         same epoch secret yields interoperating keys without any wire
-        exchange. Blobs sealed under any other epoch's key fail the tag
-        check in :meth:`open` — "old-epoch messages rejected" is a
-        consequence of the AEAD, not an extra code path. Epoch 0 restores
-        the base key exactly (useful for tests and symmetry).
+        exchange. Messages sealed under any other epoch's key fail
+        :meth:`open` — "old-epoch messages rejected" is a consequence of
+        the key check, not an extra code path. Epoch 0 restores the base
+        key exactly (useful for tests and symmetry).
         """
         if epoch < 0:
             raise CryptoError(f"epoch must be non-negative, got {epoch}")
@@ -131,54 +122,17 @@ class SecureChannelKey:
             self._key = hmac.new(
                 epoch_secret, b"rekey:" + self._base_key, hashlib.sha256
             ).digest()
-        self._nonce_counter = 0
         self.epoch = epoch
 
-    def _next_nonce(self) -> bytes:
-        nonce = self._nonce_counter.to_bytes(NONCE_BYTES, "little")
-        self._nonce_counter += 1
-        return nonce
+    def seal(self, message: Any) -> SealedMessage:
+        """Seal a protocol message under this link's current key."""
+        if type(message) not in WIRE_BYTES:
+            raise CryptoError(f"cannot seal {type(message).__name__}: not a protocol message")
+        return SealedMessage(self._key, message)
 
-    # -- AEAD -----------------------------------------------------------------
-
-    def seal(self, message: Any, associated_data: bytes = b"") -> bytes:
-        """Encrypt-and-authenticate ``message`` (any picklable object).
-
-        Returns the wire blob ``nonce ‖ ciphertext ‖ tag``.
-        """
-        serialized = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-        padded_length = -(-(len(serialized) + 4) // PAD_BLOCK_BYTES) * PAD_BLOCK_BYTES
-        plaintext = (
-            len(serialized).to_bytes(4, "little")
-            + serialized
-            + b"\x00" * (padded_length - len(serialized) - 4)
-        )
-        nonce = self._next_nonce()
-        ciphertext = _xor(plaintext, _keystream(self._key, nonce, len(plaintext)))
-        tag = hmac.new(self._key, nonce + associated_data + ciphertext, hashlib.sha256).digest()[
-            :TAG_BYTES
-        ]
-        return nonce + ciphertext + tag
-
-    def open(self, blob: bytes, associated_data: bytes = b"") -> Any:
-        """Verify-and-decrypt a wire blob; raises :class:`CryptoError` on tamper."""
-        if len(blob) < NONCE_BYTES + TAG_BYTES:
-            raise CryptoError("ciphertext too short")
-        nonce = blob[:NONCE_BYTES]
-        ciphertext = blob[NONCE_BYTES:-TAG_BYTES]
-        tag = blob[-TAG_BYTES:]
-        expected = hmac.new(self._key, nonce + associated_data + ciphertext, hashlib.sha256).digest()[
-            :TAG_BYTES
-        ]
-        if not hmac.compare_digest(tag, expected):
+    def open(self, sealed: Any) -> Any:
+        """The message of ``sealed`` if it was sealed under the current key;
+        anything else (forged bytes, another key) raises :class:`CryptoError`."""
+        if type(sealed) is not SealedMessage or sealed.key != self._key:
             raise CryptoError("authentication tag mismatch (tampered or wrong key)")
-        plaintext = _xor(ciphertext, _keystream(self._key, nonce, len(ciphertext)))
-        if len(plaintext) < 4:
-            raise CryptoError("plaintext too short for length header")
-        length = int.from_bytes(plaintext[:4], "little")
-        if length > len(plaintext) - 4:
-            raise CryptoError("corrupt plaintext length header")
-        try:
-            return pickle.loads(plaintext[4 : 4 + length])
-        except Exception as exc:  # pragma: no cover - tag already guarantees integrity
-            raise CryptoError(f"failed to deserialize plaintext: {exc}") from exc
+        return sealed.message

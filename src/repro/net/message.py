@@ -2,10 +2,10 @@
 
 All Triad communications use UDP (per the paper §IV), so the network layer
 moves self-contained datagrams with no delivery, ordering, or duplication
-guarantees. A datagram's payload is an opaque byte string — by the time a
-message reaches the network it has already been sealed by the AEAD layer
-(:mod:`repro.net.crypto`), so the network (and the adversary embedded in it)
-sees only sizes, addresses, and timing. That is precisely the paper's
+guarantees. A datagram's payload is opaque to the network: a message
+sealed under a link key (:class:`~repro.net.crypto.SealedMessage`), or the
+raw bytes an attacker forges. The network (and the adversary embedded in
+it) sees only sizes, addresses, and timing. That is precisely the paper's
 attacker model: the attacker cannot read the requested TA waittime ``s``,
 but can observe and correlate traffic timing to infer it.
 """
@@ -14,6 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.crypto import SealedMessage
 
 #: Process-wide datagram id counter (diagnostics only; never protocol-visible).
 _datagram_ids = itertools.count(1)
@@ -36,7 +40,7 @@ class Datagram:
 
     source: Address
     destination: Address
-    payload: bytes
+    payload: SealedMessage | bytes
     sent_at_ns: int
     datagram_id: int = field(default_factory=lambda: next(_datagram_ids))
 

@@ -1,12 +1,12 @@
-"""Secure endpoints: sockets + per-peer AEAD keys + an unsealing pump.
+"""Secure endpoints: sockets + per-peer link keys + an unsealing pump.
 
 Protocol code (nodes, the Time Authority) talks in terms of plaintext
 message objects addressed by peer *name*. A :class:`SecureEndpoint`:
 
 * seals outgoing messages with the key shared with the destination peer
   and puts them on the network;
-* runs a pump process that unseals incoming datagrams — trying the keys of
-  all registered peers, as UDP gives no session context — and queues
+* runs a pump process that unseals each incoming datagram with the key of
+  the peer registered at its source address, and queues
   :class:`Envelope` objects for consumers;
 * silently drops (but counts) datagrams that fail authentication, which is
   the correct behaviour for a TEE receiving attacker-forged traffic.
@@ -111,8 +111,7 @@ class SecureEndpoint:
         link = self._peers.get(peer_name)
         if link is None:
             raise ConfigurationError(f"{self.name!r} has no peer named {peer_name!r}")
-        blob = link.key.seal(message)
-        self.socket.send(link.address, blob)
+        self.socket.send(link.address, link.key.seal(message))
 
     # -- receiving -----------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core invariants.
 
 These cover the data structures and algorithms whose correctness the whole
-analysis rests on: the AEAD layer, Marzullo's algorithm, the calibration
+analysis rests on: the secure channel, Marzullo's algorithm, the calibration
 regression, the state timeline, the clock's monotonicity policy, and the
 statistics helpers.
 """
@@ -9,7 +9,7 @@ statistics helpers.
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.stats import empirical_cdf, linear_fit, remove_outliers, summarize
 from repro.core.calibration import CalibrationSample, RegressionCalibrator
@@ -18,47 +18,74 @@ from repro.core.states import NodeState, StateTimeline
 from repro.errors import CryptoError
 from repro.hardened.chimers import ClockReading, marzullo
 from repro.hardware.tsc import TimestampCounter
-from repro.net.crypto import SecureChannelKey
+from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest, TimeResponse
+from repro.net.crypto import SecureChannelKey, derive_epoch_secret
 from repro.sim import Simulator
 from repro.sim.units import SECOND
 
 names = st.text(alphabet=string.ascii_lowercase + "-", min_size=1, max_size=12)
 
 
+#: Field values a fixed-size wire struct holds: any unsigned 63-bit int.
+wire_ints = st.integers(min_value=0, max_value=2**63 - 1)
+protocol_messages = st.one_of(
+    st.builds(TimeRequest, request_id=wire_ints, sleep_ns=wire_ints),
+    st.builds(
+        TimeResponse,
+        request_id=wire_ints,
+        reference_time_ns=wire_ints,
+        sleep_ns=wire_ints,
+        receive_time_ns=wire_ints,
+        transmit_time_ns=wire_ints,
+    ),
+    st.builds(PeerTimeRequest, request_id=wire_ints),
+    st.builds(
+        PeerTimeResponse, request_id=wire_ints, timestamp_ns=wire_ints, error_bound_ns=wire_ints
+    ),
+)
+#: The same message type with every field zero, for size comparisons.
+ZERO = {
+    TimeRequest: TimeRequest(0, 0),
+    TimeResponse: TimeResponse(0, 0, 0, 0, 0),
+    PeerTimeRequest: PeerTimeRequest(0),
+    PeerTimeResponse: PeerTimeResponse(0, 0, 0),
+}
+
+
 class TestCryptoProperties:
-    @given(
-        message=st.recursive(
-            st.none() | st.booleans() | st.integers() | st.text(max_size=50),
-            lambda children: st.lists(children, max_size=4)
-            | st.dictionaries(st.text(max_size=8), children, max_size=4),
-            max_leaves=12,
-        )
-    )
+    @given(message=protocol_messages)
     @settings(max_examples=60, deadline=None)
     def test_seal_open_round_trip(self, message):
         key = SecureChannelKey.between("a", "b")
         assert key.open(key.seal(message)) == message
 
-    @given(
-        message=st.integers(),
-        position=st.integers(min_value=0, max_value=10_000),
-        flip=st.integers(min_value=1, max_value=255),
-    )
+    @given(forged=st.binary(max_size=512), message=protocol_messages)
     @settings(max_examples=60, deadline=None)
-    def test_any_tamper_detected(self, message, position, flip):
+    def test_any_tamper_detected(self, forged, message):
+        """Nothing but a seal under the current link key opens: not raw
+        bytes, not a bare message, not a seal under another link's key or
+        under this link's key of another epoch."""
         key = SecureChannelKey.between("a", "b")
-        blob = bytearray(key.seal(message))
-        blob[position % len(blob)] ^= flip
-        with pytest.raises(CryptoError):
-            key.open(bytes(blob))
+        other_link = SecureChannelKey.between("a", "c")
+        other_epoch = SecureChannelKey.between("a", "b")
+        other_epoch.rekey(derive_epoch_secret(1, "cluster"), 1)
+        for attempt in (
+            forged,
+            message,
+            other_link.seal(message),
+            other_epoch.seal(message),
+        ):
+            with pytest.raises(CryptoError):
+                key.open(attempt)
 
-    @given(st.lists(st.integers(min_value=0, max_value=10**12), min_size=2, max_size=8))
-    @settings(max_examples=30, deadline=None)
-    def test_ciphertext_size_independent_of_small_int_values(self, values):
-        """Message size must not leak field magnitudes (padding property)."""
+    @given(message=protocol_messages)
+    @example(message=PeerTimeResponse(request_id=10**6, timestamp_ns=10**15, error_bound_ns=10**12))
+    @settings(max_examples=60, deadline=None)
+    def test_ciphertext_size_independent_of_small_int_values(self, message):
+        """Wire size must not leak field values: one size per message type
+        for any field values the fixed-size struct holds."""
         key = SecureChannelKey.between("a", "b")
-        sizes = {len(key.seal({"sleep_ns": value})) for value in values}
-        assert len(sizes) == 1
+        assert len(key.seal(message)) == len(key.seal(ZERO[type(message)]))
 
 
 class TestMarzulloProperties:
