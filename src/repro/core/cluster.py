@@ -12,7 +12,7 @@ calibrators or node configs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.core.calibration import Calibrator
 from repro.core.node import TriadNode, TriadNodeConfig
@@ -33,6 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover
 def node_name(index: int) -> str:
     """Canonical name of the index-th node (1-based)."""
     return f"node-{index}"
+
+
+def node_index(where: str, key: str, value: Any, nodes: int) -> int:
+    """``value`` checked as a 1-based node index into ``nodes`` nodes.
+
+    The one check for every node index a spec names; the error names the
+    entry (``where``) and its ``key``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where}: {key} must be an integer node index, got {value!r}")
+    if not 1 <= value <= nodes:
+        raise ConfigurationError(f"{where}: {key}={value} outside cluster of {nodes} node(s)")
+    return value
 
 
 TA_NAME = "time-authority"

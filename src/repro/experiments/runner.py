@@ -15,13 +15,13 @@ from typing import TYPE_CHECKING, Optional
 from repro.analysis.metrics import DriftRecorder, DriftSeries
 from repro.core.cluster import TriadCluster
 from repro.core.node import TriadNode
-from repro.errors import ConfigurationError, OracleViolationError
+from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
 from repro.oracle.expectations import expected_for
+from repro.oracle.oracle import InvariantOracle, judge
 from repro.oracle.policy import current_policy
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.oracle.oracle import InvariantOracle
     from repro.sim.kernel import Simulator
 
 
@@ -54,19 +54,17 @@ class Experiment:
         self.expected_violations |= expected_for(self.name)
 
     @property
-    def oracle(self) -> Optional["InvariantOracle"]:
+    def oracle(self) -> Optional[InvariantOracle]:
         """The cluster's invariant oracle (None when the policy is off)."""
-        oracle = self.cluster.oracle
-        if oracle is not None and not oracle.name:
-            oracle.name = self.name
-        return oracle
+        return self.cluster.oracle
 
     def run(self, duration_ns: int) -> "Experiment":
         """Advance the simulation to ``duration_ns`` and return self.
 
         When an oracle is attached, finalizes it against this scenario's
-        expected violation set; under a ``strict`` policy, any unexpected
-        violation raises :class:`~repro.errors.OracleViolationError`.
+        expected violation set and judges it with
+        :func:`~repro.oracle.judge`: under a ``strict`` policy, any
+        unexpected violation raises :class:`~repro.errors.OracleViolationError`.
         """
         if duration_ns <= self.sim.now:
             raise ConfigurationError(
@@ -76,17 +74,9 @@ class Experiment:
             )
         self.sim.run(until=duration_ns)
         self.duration_ns = duration_ns
-        oracle = self.oracle
-        if oracle is not None:
-            oracle.finalize(self.expected_violations)
-            unexpected = oracle.unexpected_violations()
-            if unexpected and current_policy().strict:
-                raise OracleViolationError(
-                    f"experiment {self.name!r}: {len(unexpected)} unexpected "
-                    f"invariant violation(s): "
-                    + ", ".join(sorted({f"{v.node}/{v.invariant}" for v in unexpected})),
-                    violations=[v.to_dict() for v in unexpected],
-                )
+        if self.oracle is not None:
+            self.oracle.finalize(self.expected_violations)
+            judge([self.oracle], name=self.name, strict=current_policy().strict)
         return self
 
     # -- post-run accessors ------------------------------------------------------

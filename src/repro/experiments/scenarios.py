@@ -75,16 +75,14 @@ def build_experiment(
             correlation_probability=machine_wide_correlation,
         )
     recorder = DriftRecorder(sim, cluster.nodes, interval_ns=drift_interval_ns)
-    experiment = Experiment(
-        name=name, sim=sim, cluster=cluster, recorder=recorder, notes=notes
+    return Experiment(
+        name=name,
+        sim=sim,
+        cluster=cluster,
+        recorder=recorder,
+        notes=notes,
+        membership=cluster.membership,
     )
-    if cluster.membership is not None:
-        # The policy attached a controller at cluster construction; bind
-        # it to the experiment so quarantine verdicts can downgrade the
-        # oracle's expected-violation set at runtime.
-        experiment.membership = cluster.membership
-        cluster.membership.bind_expectations(experiment.expected_violations)
-    return experiment
 
 
 # -- fault-free scenarios (paper §IV-A) ---------------------------------------------

@@ -62,7 +62,7 @@ from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
 from repro.attacks.dos import TaBlackholeAttack
 from repro.attacks.scheduler import at
 from repro.attacks.tscattack import TscOffsetAttack, TscScaleAttack
-from repro.core.cluster import ClusterConfig, TA_NAME, node_name
+from repro.core.cluster import ClusterConfig, TA_NAME, node_index, node_name
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
@@ -84,6 +84,20 @@ ATTACK_TYPES = {
     "aex-onset": {"nodes", "at_s"},
     "aex-suppress": {"nodes"},
 }
+
+#: Attack keys and schedule params that must be numbers (a JSON string
+#: where a number belongs fails validation, naming the entry).
+_NUMBER_KEYS = (
+    "at_s",
+    "delay_ms",
+    "down_ms",
+    "duration_ms",
+    "mean_us",
+    "offset_ticks",
+    "scale",
+    "start_s",
+    "stop_s",
+)
 
 #: TSC manipulation hits the machine's counter, which on the default
 #: shared-host topology every node reads: any node's clock (and any
@@ -171,8 +185,8 @@ class ExperimentSpec:
                 raise ConfigurationError(f"environment for unknown node {index}")
             if environment not in ("triad-like", "low-aex"):
                 raise ConfigurationError(f"unknown environment {environment!r}")
-        for attack in self.attacks:
-            self._validate_attack(attack)
+        for index, attack in enumerate(self.attacks):
+            self._validate_attack(index, attack)
         for index, entry in enumerate(self.schedule):
             self._validate_schedule_entry(index, entry)
         if self.churn is not None:
@@ -193,7 +207,7 @@ class ExperimentSpec:
             raise ConfigurationError("churn.absent: must be a list of node indices")
         seen: set[int] = set()
         for value in absent:
-            index = self._churn_index("churn.absent", value)
+            index = node_index("churn", "absent", value, self.nodes)
             if index in seen:
                 raise ConfigurationError(f"churn.absent: duplicate node {index}")
             seen.add(index)
@@ -222,7 +236,7 @@ class ExperimentSpec:
                 raise ConfigurationError(
                     f"{where}: t_s must be a non-negative number, got {t_s!r}"
                 )
-            index = self._churn_index(where, entry["node"])
+            index = node_index(where, "node", entry["node"], self.nodes)
             action = entry["action"]
             if action not in _CHURN_ACTIONS:
                 raise ConfigurationError(
@@ -241,17 +255,6 @@ class ExperimentSpec:
                     )
                 present.add(index)
 
-    def _churn_index(self, where: str, value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(
-                f"{where}: node index must be an integer, got {value!r}"
-            )
-        if not 1 <= value <= self.nodes:
-            raise ConfigurationError(
-                f"{where}: node {value} outside cluster of {self.nodes} node(s)"
-            )
-        return value
-
     @staticmethod
     def _churn_entries(schedule: list) -> list:
         """Schedule entries in application order (time, then list order)."""
@@ -262,15 +265,34 @@ class ExperimentSpec:
             ),
         )
 
-    def _validate_attack(self, attack: dict[str, Any]) -> None:
+    def _validate_attack(self, index: int, attack: Any) -> None:
+        where = f"attacks[{index}]"
+        if not isinstance(attack, dict):
+            raise ConfigurationError(
+                f"{where}: entry must be an object, got {type(attack).__name__}"
+            )
         kind = attack.get("type")
         if kind not in ATTACK_TYPES:
             raise ConfigurationError(
-                f"unknown attack type {kind!r}; choose from {sorted(ATTACK_TYPES)}"
+                f"{where}: unknown attack type {kind!r}; choose from {sorted(ATTACK_TYPES)}"
             )
         missing = ATTACK_TYPES[kind] - set(attack)
         if missing:
-            raise ConfigurationError(f"attack {kind!r} missing keys: {sorted(missing)}")
+            raise ConfigurationError(f"{where}: attack {kind!r} missing keys: {sorted(missing)}")
+        _check_numbers(where, attack)
+        if "victim" in attack:
+            node_index(where, "victim", attack["victim"], self.nodes)
+        for key in ("nodes", "victims"):
+            if attack.get(key) is not None:
+                self._validate_node_list(where, key, attack[key])
+
+    def _validate_node_list(self, where: str, key: str, values: Any) -> None:
+        if not isinstance(values, list):
+            raise ConfigurationError(
+                f"{where}: {key} must be a list of node indices, got {values!r}"
+            )
+        for value in values:
+            node_index(where, key, value, self.nodes)
 
     def _validate_schedule_entry(self, index: int, entry: Any) -> None:
         where = f"schedule[{index}]"
@@ -316,50 +338,25 @@ class ExperimentSpec:
     def _validate_schedule_params(
         self, where: str, primitive: str, params: dict[str, Any]
     ) -> None:
-        if primitive == "tsc-offset" and int(params["offset_ticks"]) == 0:
-            raise ConfigurationError(f"{where}: offset_ticks must be non-zero")
-        if primitive == "tsc-scale" and not float(params["scale"]) > 0:
-            raise ConfigurationError(
-                f"{where}: scale must be positive, got {params['scale']!r}"
-            )
-        if primitive == "aex-flood" and not float(params["mean_us"]) > 0:
-            raise ConfigurationError(
-                f"{where}: mean_us must be positive, got {params['mean_us']!r}"
-            )
-        if primitive == "net-delay":
-            if params["mode"] not in ("fplus", "fminus"):
-                raise ConfigurationError(
-                    f"{where}: mode must be 'fplus' or 'fminus', got {params['mode']!r}"
-                )
-            if "delay_ms" in params and not float(params["delay_ms"]) > 0:
-                raise ConfigurationError(
-                    f"{where}: delay_ms must be positive, got {params['delay_ms']!r}"
-                )
-        if "duration_ms" in params and not float(params["duration_ms"]) > 0:
-            raise ConfigurationError(
-                f"{where}: duration_ms must be positive, got {params['duration_ms']!r}"
-            )
-        if "down_ms" in params and not float(params["down_ms"]) > 0:
-            raise ConfigurationError(
-                f"{where}: down_ms must be positive, got {params['down_ms']!r}"
-            )
+        _check_numbers(where, params)
         for key in ("victim", "node"):
             if key in params:
-                value = int(params[key])
-                if not 1 <= value <= self.nodes:
-                    raise ConfigurationError(
-                        f"{where}: {key}={value} outside cluster of {self.nodes} node(s)"
-                    )
-        if primitive == "ta-blackhole" and "victims" in params:
-            victims = params["victims"]
-            if not isinstance(victims, list) or not victims:
+                node_index(where, key, params[key], self.nodes)
+        if "victims" in params:
+            if not params["victims"]:
                 raise ConfigurationError(f"{where}: victims must be a non-empty list")
-            for victim in victims:
-                if not 1 <= int(victim) <= self.nodes:
-                    raise ConfigurationError(
-                        f"{where}: victim {victim} outside cluster of "
-                        f"{self.nodes} node(s)"
-                    )
+            self._validate_node_list(where, "victims", params["victims"])
+        if primitive == "tsc-offset" and int(params["offset_ticks"]) == 0:
+            raise ConfigurationError(f"{where}: offset_ticks must be non-zero")
+        for key in ("scale", "mean_us", "delay_ms", "duration_ms", "down_ms"):
+            if key in params and not params[key] > 0:
+                raise ConfigurationError(
+                    f"{where}: {key} must be positive, got {params[key]!r}"
+                )
+        if primitive == "net-delay" and params["mode"] not in ("fplus", "fminus"):
+            raise ConfigurationError(
+                f"{where}: mode must be 'fplus' or 'fminus', got {params['mode']!r}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentSpec":
@@ -647,6 +644,13 @@ class ExperimentSpec:
                 core, ExponentialAexDelays(SECOND), cause="os", enabled=False
             )
         return source
+
+
+def _check_numbers(where: str, entry: dict[str, Any]) -> None:
+    for key in _NUMBER_KEYS:
+        value = entry.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{where}: {key} must be a number, got {value!r}")
 
 
 _SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from repro.core.cluster import node_index
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
 
@@ -164,7 +165,7 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
     t_ns = int(float(t_s) * SECOND)
 
     if kind == "node-crash":
-        node = _node_index(where, entry["node"], nodes)
+        node = node_index(where, "node", entry["node"], nodes)
         down_ms = entry.get("down_ms", DEFAULT_DOWN_MS)
         down_ns = _window_ns(where, "down_ms", down_ms)
         return FaultEvent(t_ns, kind, {"node": node}, t_ns + down_ns)
@@ -184,7 +185,7 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
             )
         members = []
         for value in island:
-            member = _node_index(where, value, nodes)
+            member = node_index(where, "island", value, nodes)
             if member in members:
                 raise ConfigurationError(f"{where}: duplicate island node {member}")
             members.append(member)
@@ -212,18 +213,6 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
     duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
     params = {"drop_probability": float(probability)}
     return FaultEvent(t_ns, kind, params, t_ns + duration_ns)
-
-
-def _node_index(where: str, value: Any, nodes: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{where}: node index must be an integer, got {value!r}"
-        )
-    if not 1 <= value <= nodes:
-        raise ConfigurationError(
-            f"{where}: node {value} outside cluster of {nodes} node(s)"
-        )
-    return value
 
 
 def _window_ns(where: str, key: str, value: Any) -> int:

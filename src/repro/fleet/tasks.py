@@ -30,7 +30,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.errors import FleetError, OracleViolationError
+from repro.errors import FleetError
 
 
 @dataclass
@@ -140,49 +140,22 @@ def execute_task(task: RunTask) -> dict:
     The policies ``task.overrides`` names (``oracle``, ``membership``; see
     :mod:`repro.policy`) are installed for the duration of the run — this
     is how a mode crosses worker-process boundaries: it rides in the
-    pickled task, not in inherited process state. Violations observed by
-    any oracle the run created are appended to the result value under
-    ``"violations"``; in strict mode, unexpected violations raise
-    :class:`~repro.errors.OracleViolationError`.
+    pickled task, not in inherited process state. Every oracle the run
+    created is judged by :func:`repro.oracle.judge` under the task's name
+    (in strict mode, unexpected violations raise
+    :class:`~repro.errors.OracleViolationError`); their violations are
+    appended to the result value under ``"violations"``.
     """
+    from repro.oracle import judge
     from repro.policy import installed_policies
 
     with installed_policies(task.overrides) as created:
         value = runner_for(task.kind)(task)
-
-    # (node, invariant) pairs the membership engine downgraded to expected
-    # by quarantining/evicting the node — a cut node's violations are the
-    # containment working, so strict mode must not fail on them.
-    downgrades: set = set()
-    for controller in created.get("membership", []):
-        downgrades |= controller.expected_downgrades
-
-    violations: list[dict] = []
-    unexpected: list[dict] = []
-    for oracle in created.get("oracle", []):
-        if not oracle.name:
-            # Scenario runners name their oracle (and freeze its expected
-            # set) through Experiment.run; this is the fallback for runs
-            # that never went through an Experiment.
-            oracle.name = task.name
-        oracle.finalize()
-        if downgrades and oracle.expected is None:
-            # Runs that went through Experiment.run already folded the
-            # downgrades into their expected set; this is the fallback.
-            from repro.oracle.expectations import expected_for
-
-            oracle.expected = frozenset(set(expected_for(oracle.name)) | downgrades)
-        violations.extend(v.to_dict() for v in oracle.violations)
-        unexpected.extend(v.to_dict() for v in oracle.unexpected_violations())
+    oracles = created.get("oracle", [])
+    judge(oracles, name=task.name, strict=task.overrides.get("oracle") == "strict")
+    violations = [v.to_dict() for oracle in oracles for v in oracle.violations]
     if isinstance(value, dict) and violations:
         value = {**value, "violations": violations}
-    if unexpected and task.overrides.get("oracle") == "strict":
-        pairs = sorted({f"{v['node']}/{v['invariant']}" for v in unexpected})
-        raise OracleViolationError(
-            f"task {task.name!r}: {len(unexpected)} unexpected invariant "
-            f"violation(s): " + ", ".join(pairs),
-            violations=unexpected,
-        )
     return value
 
 

@@ -20,9 +20,9 @@ median (:mod:`repro.membership.evidence`). Once per epoch it:
    lets a falsely quarantined node prove itself clean again and leaves a
    compromised node anchored to the poisoned calibration that convicts it.
 
-Quarantining (or evicting) a node also downgrades its invariant
-violations to *expected* in the bound oracle expectation set: once the
-control plane has cut a node off, its out-of-bound clock is the
+Quarantining (or evicting) a node also excuses its invariant violations
+on the cluster's own oracle (:attr:`~repro.oracle.InvariantOracle.excused`):
+once the control plane has cut a node off, its out-of-bound clock is the
 experiment working, not an oracle finding.
 """
 
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Modes a *constructed* controller can run in ("off" means no controller).
 CONTROLLER_MODES = ("observe", "enforce")
 
-#: Invariants downgraded to expected once a node is quarantined/evicted.
+#: Invariants excused on the cluster's oracle once a node is quarantined/evicted.
 _DOWNGRADED_INVARIANTS = (
     "drift-bound",
     "state-soundness",
@@ -76,9 +76,6 @@ class MembershipController:
         self.rotations = 0
         self.events: list[MembershipEvent] = []
         self.epoch_history: list[EpochEvidence] = []
-        #: (node, invariant) pairs this controller has downgraded to
-        #: expected (union of all quarantine/eviction blast radii).
-        self.expected_downgrades: set[tuple[str, str]] = set()
         self._collector = EvidenceCollector(self.config.min_observers)
         self._nodes_by_name = {node.name: node for node in cluster.nodes}
         present = set(cluster.present_names)
@@ -97,7 +94,6 @@ class MembershipController:
         #: evidence-momentum bit the adaptive eviction clock presumes when
         #: a quarantined node answers samples the collector cannot score.
         self._last_dirty = {name: False for name in self._verdicts}
-        self._expected: Optional[set] = None
         self._retired = False
         self.process = self.sim.process(self._run(), name="membership/engine")
 
@@ -122,18 +118,7 @@ class MembershipController:
         controller = cls(cluster, config=config, mode=mode)
         cluster.membership = controller
         experiment.membership = controller
-        controller.bind_expectations(experiment.expected_violations)
         return controller
-
-    def bind_expectations(self, expected: set) -> None:
-        """Adopt ``expected`` as the live oracle expectation set.
-
-        The set is mutated in place as verdicts land (the experiment
-        finalizes its oracle *after* the run, so runtime downgrades are
-        visible); downgrades recorded before binding are replayed.
-        """
-        self._expected = expected
-        expected |= self.expected_downgrades
 
     def retire(self) -> None:
         """Stop the engine at its next wake-up (no further samples)."""
@@ -321,14 +306,12 @@ class MembershipController:
                     {"verdict": verdict.value, "previous": previous.value},
                 )
             )
-        if verdict in (MembershipVerdict.QUARANTINED, MembershipVerdict.EVICTED):
-            self._downgrade(name)
-
-    def _downgrade(self, name: str) -> None:
-        pairs = {(name, invariant) for invariant in _DOWNGRADED_INVARIANTS}
-        self.expected_downgrades |= pairs
-        if self._expected is not None:
-            self._expected |= pairs
+        oracle = self.cluster.oracle
+        if oracle is not None and verdict in (
+            MembershipVerdict.QUARANTINED,
+            MembershipVerdict.EVICTED,
+        ):
+            oracle.excused.update((name, invariant) for invariant in _DOWNGRADED_INVARIANTS)
 
     # -- enforcement: epoch-key rotation ------------------------------------------
 

@@ -14,7 +14,7 @@ from repro.oracle.expectations import (
     is_expected,
     unexpected_keys,
 )
-from repro.oracle.oracle import InvariantOracle, OracleConfig, watch_cluster
+from repro.oracle.oracle import InvariantOracle, OracleConfig, judge, watch_cluster
 from repro.oracle.policy import (
     ORACLE_MODES,
     attach_from_policy,
@@ -50,6 +50,7 @@ __all__ = [
     "expected_for",
     "install_oracle_policy",
     "is_expected",
+    "judge",
     "oracle_policy",
     "unexpected_keys",
     "violation_score",

@@ -6,7 +6,10 @@ attack scenarios the violations *are* the result — fig4's victim drifting
 out of bound is the experiment working, not the oracle misfiring. This
 registry names those expectations per canonical scenario (and per sweep
 family, matched by task-name prefix), so ``repro reproduce --oracle
-strict`` passes while still catching anything off-script.
+strict`` passes while still catching anything off-script. Spec runs,
+the CLI presets included, take theirs from attack wiring instead: each
+attack unions its adversary's ``expected_violations()`` into the
+experiment's set.
 
 Entries are ``(node, invariant)`` pairs; ``"*"`` as the node matches any
 node (used where an attack's blast radius is deliberately unbounded, e.g.
@@ -56,29 +59,6 @@ EXPECTED_VIOLATIONS: dict[str, frozenset[tuple[str, str]]] = {
     "hardened-fplus-suppressed-aex": _VICTIM,
     # TA blackhole: refresh starves; freshness deadlines fire fleet-wide.
     "dos-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
-    # Service-layer scenarios (repro.service / CLI `service`): the service
-    # is an observer, so expectations mirror the underlying attack. Spec
-    # attack wiring unions the same pairs in; these entries also cover
-    # hand-built clusters using the canonical names.
-    "service-benign": frozenset(),
-    "service-fplus": _VICTIM,
-    # Hardened protocol pins the F− poison to the victim (quorum-containment
-    # scenario of the CLI's --attack fminus).
-    "service-fminus": _VICTIM,
-    "service-fminus-propagation": _CASCADE,
-    "service-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
-    # Membership-plane scenarios (repro.membership / CLI `membership`).
-    # Benign and churn runs must stay silent; attack runs start from the
-    # underlying attack's allowance. At runtime the membership engine
-    # *narrows* what actually fires: quarantining a node downgrades that
-    # node's violations to expected in the live set (the cut node's
-    # out-of-bound clock is the containment working), while contained
-    # honest nodes simply never trip the oracle.
-    "membership-benign": frozenset(),
-    "membership-churn": frozenset(),
-    "membership-fplus": _VICTIM,
-    "membership-fminus-propagation": _CASCADE,
-    "membership-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
 }
 
 #: Task-name prefix -> expected pairs, for fleet tasks that are not

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.core.probes import ProbeEvent
 from repro.core.states import NodeState
+from repro.errors import OracleViolationError
 from repro.oracle.expectations import expected_for, is_expected
 from repro.oracle.violations import Violation, violation_score
 from repro.sim.units import MILLISECOND, SECOND
@@ -79,9 +80,9 @@ class InvariantOracle:
     """Online checker for one simulation run.
 
     Attach with :meth:`watch` per node (or :func:`watch_cluster`), run the
-    simulation, then :meth:`finalize`. ``name`` is the canonical scenario
-    name used to look up expected violations; it may be set after
-    construction (fleet tasks name the oracle when they adopt it).
+    simulation, then :meth:`finalize` (or :func:`judge`). ``name`` is the
+    canonical scenario name used to look up expected violations; it may
+    be set after construction (:func:`judge` names an unnamed oracle).
     """
 
     def __init__(
@@ -95,6 +96,11 @@ class InvariantOracle:
         self.suppressed = 0
         #: Expected (node, invariant) pairs, frozen at first finalize.
         self.expected: Optional[frozenset] = None
+        #: Pairs excused at runtime, on top of the expected set: the
+        #: cluster's membership engine adds a node's pairs when it
+        #: quarantines or evicts it (the cut node's clock is the
+        #: containment working, not a finding).
+        self.excused: set[tuple[str, str]] = set()
         self._nodes: dict[str, object] = {}
         self._last_served: dict[str, int] = {}
         self._last_refresh: dict[str, int] = {}
@@ -351,7 +357,7 @@ class InvariantOracle:
 
         Idempotent: the first caller's ``expected`` wins (an
         :class:`~repro.experiments.runner.Experiment` finalizes with its
-        scenario's expectations; a fleet wrapper finalizing again must not
+        scenario's expectations; :func:`judge` finalizing again must not
         overwrite them with a generic set).
         """
         if not self._finalized:
@@ -362,10 +368,10 @@ class InvariantOracle:
         return list(self.violations)
 
     def expected_keys(self) -> frozenset:
-        """The governing expected set: frozen at finalize, else by name."""
-        if self.expected is not None:
-            return self.expected
-        return expected_for(self.name)
+        """The governing expected set (frozen at finalize, else by name)
+        plus the runtime-excused pairs."""
+        expected = self.expected if self.expected is not None else expected_for(self.name)
+        return expected | self.excused
 
     def violation_set(self) -> set[tuple[str, str]]:
         """Distinct (node, invariant) pairs observed."""
@@ -409,6 +415,32 @@ class InvariantOracle:
                 f"   {len(unexpected)} UNEXPECTED (marked '!') — strict mode fails this run"
             )
         return "\n".join(lines)
+
+
+def judge(oracles: Iterable[InvariantOracle], *, name: str, strict: bool) -> list[Violation]:
+    """The verdict on one run: the violations outside the expected sets.
+
+    Finalizes every oracle (an expected set frozen by an earlier
+    finalize, such as an :class:`~repro.experiments.runner.Experiment`'s
+    own, wins) and names any unnamed one ``name``, so the registry
+    expectations for that name apply. In ``strict`` mode any unexpected
+    violation raises :class:`~repro.errors.OracleViolationError` naming
+    the run and the offending ``node/invariant`` pairs.
+    """
+    unexpected: list[Violation] = []
+    for oracle in oracles:
+        if not oracle.name:
+            oracle.name = name
+        oracle.finalize()
+        unexpected.extend(oracle.unexpected_violations())
+    if strict and unexpected:
+        pairs = sorted({f"{v.node}/{v.invariant}" for v in unexpected})
+        raise OracleViolationError(
+            f"run {name!r}: {len(unexpected)} unexpected invariant violation(s): "
+            + ", ".join(pairs),
+            violations=[v.to_dict() for v in unexpected],
+        )
+    return unexpected
 
 
 def watch_cluster(

@@ -8,7 +8,10 @@ constructors. Each is a :class:`ScopedPolicy` that
 CLI installs it from ``--oracle``/``--membership``; fleet tasks carry the
 mode in ``task.overrides`` and :func:`installed_policies` re-installs it
 inside the worker, so a policy crosses process boundaries with the task.
-Mode ``off`` (the default) attaches nothing.
+Mode ``off`` (the default) attaches nothing. The oracles a block attached
+are judged afterwards by :func:`repro.oracle.judge`; a membership engine
+excuses the nodes it cuts off on its own cluster's oracle, so nothing
+here relays state between engines.
 """
 
 from __future__ import annotations

@@ -52,6 +52,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="missing keys"):
             minimal_spec(attacks=[{"type": "fminus"}])
 
+    def test_attack_victim_outside_cluster_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: victim=9 outside cluster"):
+            minimal_spec(attacks=[{"type": "fminus", "victim": 9}])
+
+    def test_attack_victim_must_be_an_integer(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: victim must be an integer"):
+            minimal_spec(attacks=[{"type": "fplus", "victim": "x"}])
+
+    def test_attack_nodes_outside_cluster_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[1\]: nodes=7 outside cluster"):
+            minimal_spec(
+                attacks=[
+                    {"type": "fminus", "victim": 3},
+                    {"type": "aex-onset", "nodes": [1, 7], "at_s": 3},
+                ]
+            )
+
+    def test_non_numeric_attack_param_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"attacks\[0\]: offset_ticks must be a number"
+        ):
+            minimal_spec(attacks=[{"type": "tsc-offset", "offset_ticks": "x", "at_s": 1}])
+
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             ExperimentSpec.from_json("{nope")
@@ -221,6 +244,12 @@ class TestScheduleValidation:
                     }
                 ]
             )
+
+    def test_non_numeric_param_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"schedule\[0\]: offset_ticks must be a number"
+        ):
+            minimal_spec(schedule=[_entry(params={"offset_ticks": "x"})])
 
     def test_victim_outside_cluster_rejected(self):
         with pytest.raises(ConfigurationError, match="victim=9 outside cluster"):

@@ -15,6 +15,7 @@ from repro.membership import (
     membership_policy,
     render_report,
 )
+from repro.oracle import Violation, judge, oracle_policy
 from repro.sim.kernel import Simulator
 
 DIRTY = 40_000_000  # > suspect threshold (25 ms)
@@ -130,23 +131,34 @@ class TestLadder:
 
 
 class TestDowngrades:
-    def test_quarantine_downgrades_the_node_into_bound_expectations(self):
-        controller = make_controller()
-        expected: set = set()
-        controller.bind_expectations(expected)
-        for _ in range(2):
-            close(controller, {"node-3": DIRTY})
-        assert ("node-3", "drift-bound") in expected
-        assert ("node-3", "untaint-safety") in expected
-        assert ("node-1", "drift-bound") not in expected
+    """A quarantine excuses the node on the cluster's own oracle."""
 
-    def test_downgrades_recorded_before_binding_are_replayed(self):
-        controller = make_controller()
+    @staticmethod
+    def watched_controller():
+        with oracle_policy("warn"):
+            return make_controller()
+
+    def test_quarantine_excuses_the_node_on_its_oracle(self):
+        controller = self.watched_controller()
+        oracle = controller.cluster.oracle
+        assert ("node-3", "drift-bound") not in oracle.expected_keys()
         for _ in range(2):
             close(controller, {"node-3": DIRTY})
-        late: set = set()
-        controller.bind_expectations(late)
-        assert ("node-3", "drift-bound") in late
+        excused = oracle.expected_keys()
+        assert ("node-3", "drift-bound") in excused
+        assert ("node-3", "untaint-safety") in excused
+        assert ("node-1", "drift-bound") not in excused
+
+    def test_quarantine_before_the_verdict_still_counts(self):
+        controller = self.watched_controller()
+        oracle = controller.cluster.oracle
+        for _ in range(2):
+            close(controller, {"node-3": DIRTY})
+        oracle.violations.append(Violation(time_ns=0, node="node-3", invariant="drift-bound"))
+        # The run's own expected set, frozen after the quarantine landed,
+        # does not name node-3; the excuse still holds at the verdict.
+        oracle.finalize(expected=frozenset())
+        assert judge([oracle], name="quarantined-run", strict=True) == []
 
 
 class TestChurnSync:

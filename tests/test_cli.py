@@ -131,6 +131,18 @@ class TestSweepFleetFlags:
         assert main(["reproduce", "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
+    def test_reproduce_stdout_is_identical_across_jobs(self, capsys, monkeypatch):
+        import repro.cli
+
+        cheap = {name: repro.cli._EXPERIMENTS[name] for name in ("fig1", "ablation")}
+        monkeypatch.setattr(repro.cli, "_EXPERIMENTS", cheap)
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["reproduce", "--no-cache", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "=== fig1 ===" in outputs[0] and "=== ablation ===" in outputs[0]
+
 
 class TestBatch:
     @staticmethod
