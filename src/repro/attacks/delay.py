@@ -91,26 +91,6 @@ class CalibrationDelayAttacker(NetworkAdversary):
         #: (estimated_sleep_ns, delayed) per matched response, for analysis.
         self.sleep_estimates: list[tuple[int, bool]] = []
 
-    def expected_violations(self) -> set[tuple[str, str]]:
-        """Oracle (node, invariant) pairs this attack is built to cause.
-
-        The victim's clock free-runs on a skewed F_calib while its state
-        reports OK. F− additionally propagates: the fast victim's always
-        ahead timestamps win every peer untaint, so any honest node may
-        drift out of bound too (``"*"`` is the oracle's node wildcard).
-        """
-        pairs = {
-            (self.victim_host, "drift-bound"),
-            (self.victim_host, "state-soundness"),
-        }
-        if self.mode is AttackMode.F_MINUS:
-            pairs |= {
-                ("*", "drift-bound"),
-                ("*", "state-soundness"),
-                ("*", "untaint-safety"),
-            }
-        return pairs
-
     def enable(self) -> None:
         """Start interfering (observation always runs)."""
         self.active = True

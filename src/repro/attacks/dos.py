@@ -49,15 +49,6 @@ class TaBlackholeAttack(NetworkAdversary):
         self.stop_ns = stop_ns
         self.dropped_count = 0
 
-    def expected_violations(self) -> set[tuple[str, str]]:
-        """Oracle (node, invariant) pairs this attack is built to cause.
-
-        A blackholed TA starves refresh, so freshness deadlines (when the
-        oracle configures one) fire for any starved node — and never a
-        correctness invariant: fail-closed means no wrong time is served.
-        """
-        return {("*", "freshness")}
-
     def _active(self) -> bool:
         if self.sim.now < self.start_ns:
             return False

@@ -12,6 +12,10 @@ victim sees no service degradation (§IV-B).
 Conversely the attacker can flood a core with interrupts, forcing constant
 peer contact — the mechanism that *spreads* the F− infection in Fig. 6
 once honest nodes start experiencing AEXs.
+
+Both are timeline events (``aex-suppress``, ``aex-flood``; see
+:mod:`repro.attacks.timeline`); :func:`at` is the scheduled process every
+timed event starts from.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigurationError
-from repro.hardware.aex import AexSource, InterAexDistribution
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -40,62 +43,3 @@ def at(sim: "Simulator", time_ns: int, action: Callable[[], None], name: str = "
 
     return sim.process(runner(), name=name)
 
-
-class AexSuppressionAttack:
-    """Isolate a core: stop its AEX source, optionally resuming later.
-
-    Models the attacker configuring the OS to shield the victim's
-    monitoring core from interrupts. While suppressed the node never
-    taints (except via machine-wide interrupts the attacker does not fully
-    control), so it never consults peers or the TA — its miscalibrated
-    clock speed persists indefinitely.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        source: AexSource,
-        start_ns: int = 0,
-        stop_ns: int | None = None,
-    ) -> None:
-        if stop_ns is not None and stop_ns <= start_ns:
-            raise ConfigurationError("suppression must stop after it starts")
-        self.sim = sim
-        self.source = source
-        self.start_ns = start_ns
-        self.stop_ns = stop_ns
-        if start_ns <= sim.now:
-            source.pause()
-        else:
-            at(sim, start_ns, source.pause, name="aex-suppression-start")
-        if stop_ns is not None:
-            at(sim, stop_ns, source.resume, name="aex-suppression-stop")
-
-
-class EnvironmentSwitchAttack:
-    """Switch a node's AEX environment at a point in time.
-
-    Reproduces the Fig. 6 scenario: honest nodes run in a low-AEX
-    environment until t = 104 s, after which they experience Triad-like
-    AEX rates and start pulling timestamps from the infected node.
-    """
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        source: AexSource,
-        switch_at_ns: int,
-        new_distribution: InterAexDistribution,
-        enable: bool = True,
-    ) -> None:
-        self.sim = sim
-        self.source = source
-        self.switch_at_ns = switch_at_ns
-        self.new_distribution = new_distribution
-
-        def switch() -> None:
-            source.set_distribution(new_distribution)
-            if enable:
-                source.resume()
-
-        at(sim, switch_at_ns, switch, name="aex-environment-switch")

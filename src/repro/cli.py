@@ -55,20 +55,7 @@ from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, OracleViolationError
 from repro.experiments import figures
-from repro.sim.units import HOUR, MINUTE, SECOND
-
-#: Experiment registry: name -> (description, default duration ns, runner).
-_EXPERIMENTS: dict[str, tuple[str, Optional[int], Callable]] = {
-    "fig1": ("Fig. 1a/1b inter-AEX delay CDFs", None, lambda d: figures.figure1()),
-    "inc": ("S IV-A1 INC-monitoring table", None, lambda d: figures.inc_monitor_experiment()),
-    "fig2": ("Fig. 2 fault-free, Triad-like AEXs", 30 * MINUTE, figures.figure2),
-    "fig3": ("Fig. 3 fault-free, low-AEX (8h)", 8 * HOUR, figures.figure3),
-    "fig4": ("Fig. 4 F+ attack, low-AEX victim", 10 * MINUTE, figures.figure4),
-    "fig5": ("Fig. 5 F+ attack, Triad-like AEXs", 10 * MINUTE, figures.figure5),
-    "fig6": ("Fig. 6 F- attack & propagation", 7 * MINUTE, figures.figure6),
-    "fig6-hardened": ("Fig. 6 scenario vs S V hardening", 7 * MINUTE, figures.figure6_hardened),
-    "ablation": ("ABL-CAL calibration estimators", None, lambda d: figures.calibration_ablation()),
-}
+from repro.sim.units import SECOND
 
 #: sweep name -> metric columns of its table.
 _SWEEP_METRICS: dict[str, list[str]] = {
@@ -134,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list available experiments")
 
     run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment", choices=sorted(_EXPERIMENTS))
+    run.add_argument("experiment", choices=sorted(figures.EXPERIMENTS))
     run.add_argument("--seed", type=int, default=None, help="override the default seed")
     run.add_argument(
         "--duration-s", type=float, default=None, help="override the run duration (seconds)"
@@ -534,7 +521,7 @@ def _run_reproduce(args) -> int:
         return invalid
     tasks = [
         RunTask(kind="experiment", name=name, payload={"experiment": name})
-        for name in _EXPERIMENTS
+        for name in figures.EXPERIMENTS
     ]
     pool, cache, telemetry = _fleet_pieces(args)
     results = pool.run(_with_policies(tasks, args), cache=cache, telemetry=telemetry)
@@ -548,34 +535,6 @@ def _run_reproduce(args) -> int:
             print(f"FAILED: {result.error}")
     _finish_fleet(args, telemetry)
     return 1 if failed else 0
-
-
-def _run_experiment(name: str, seed: Optional[int], duration_s: Optional[float]):
-    _description, default_duration, runner = _EXPERIMENTS[name]
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if default_duration is None:
-        # fig1 / inc / ablation have no duration knob; their registry
-        # entries are lambdas taking the (ignored) duration placeholder.
-        if duration_s is not None:
-            print("note: this experiment has no duration parameter; --duration-s ignored")
-        if kwargs:
-            print("note: this experiment runs with its built-in seed; --seed ignored")
-        return runner(None)
-    duration_ns = int(duration_s * SECOND) if duration_s is not None else default_duration
-    return runner(duration_ns=duration_ns, **kwargs)
-
-
-def _print_result(name: str, result) -> None:
-    if hasattr(result, "render"):
-        try:
-            print(result.render())
-            return
-        except TypeError:
-            pass
-    description = _EXPERIMENTS[name][0]
-    print(result.render(description))
 
 
 def _preset_spec(args, name: str, attacks: list, **blocks) -> dict:
@@ -798,21 +757,28 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "list":
-        width = max(len(name) for name in _EXPERIMENTS)
-        for name, (description, duration, _) in sorted(_EXPERIMENTS.items()):
+        width = max(len(name) for name in figures.EXPERIMENTS)
+        for name, (description, duration, _) in sorted(figures.EXPERIMENTS.items()):
             span = f"{duration / SECOND:.0f}s" if duration else "-"
             print(f"{name:<{width + 2}} {span:>8}  {description}")
         return 0
 
     if args.command == "run":
-        result, engines, code = _run_in_process(
+        if figures.EXPERIMENTS[args.experiment][1] is None:
+            if args.duration_s is not None:
+                print("note: this experiment has no duration parameter; --duration-s ignored")
+            if args.seed is not None:
+                print("note: this experiment runs with its built-in seed; --seed ignored")
+        duration_ns = None if args.duration_s is None else int(args.duration_s * SECOND)
+        value, engines, code = _run_in_process(
             args,
             args.experiment,
-            lambda: _run_experiment(args.experiment, args.seed, args.duration_s),
+            lambda: figures.run_experiment(args.experiment, args.seed, duration_ns),
         )
-        if result is None:
+        if value is None:
             return code
-        _print_result(args.experiment, result)
+        result, rendered = value
+        print(rendered)
         from repro.planes import plane
 
         for controller in engines.get("membership", []):

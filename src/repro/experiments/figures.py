@@ -9,7 +9,7 @@ files under ``benchmarks/`` call these and assert the qualitative claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.metrics import (
     DriftSeries,
@@ -427,3 +427,40 @@ def calibration_ablation(seed: int = 9, rounds: int = 8) -> CalibrationAblationR
         regression_frequency_hz=results["regression"],
         mean_only_frequency_hz=results["mean-only"],
     )
+
+
+# -- the experiment registry ----------------------------------------------------------------
+
+#: name -> (description, default duration ns, figure function). A None
+#: duration marks an experiment with its built-in seed and span, no knobs.
+EXPERIMENTS: dict[str, tuple[str, Optional[int], Callable]] = {
+    "fig1": ("Fig. 1a/1b inter-AEX delay CDFs", None, figure1),
+    "inc": ("S IV-A1 INC-monitoring table", None, inc_monitor_experiment),
+    "fig2": ("Fig. 2 fault-free, Triad-like AEXs", 30 * MINUTE, figure2),
+    "fig3": ("Fig. 3 fault-free, low-AEX (8h)", 8 * HOUR, figure3),
+    "fig4": ("Fig. 4 F+ attack, low-AEX victim", 10 * MINUTE, figure4),
+    "fig5": ("Fig. 5 F+ attack, Triad-like AEXs", 10 * MINUTE, figure5),
+    "fig6": ("Fig. 6 F- attack & propagation", 7 * MINUTE, figure6),
+    "fig6-hardened": ("Fig. 6 scenario vs S V hardening", 7 * MINUTE, figure6_hardened),
+    "ablation": ("ABL-CAL calibration estimators", None, calibration_ablation),
+}
+
+
+def run_experiment(
+    name: str, seed: Optional[int] = None, duration_ns: Optional[int] = None
+) -> tuple[object, str]:
+    """Run a registered experiment; return its result and rendered tables.
+
+    ``seed`` and ``duration_ns`` default to the figure's own; experiments
+    without a duration knob ignore both. Drift figures are titled with
+    the registry description.
+    """
+    description, default_duration, function = EXPERIMENTS[name]
+    if default_duration is None:
+        result = function()
+        return result, result.render()
+    kwargs = {} if seed is None else {"seed": seed}
+    if duration_ns is None:
+        duration_ns = default_duration
+    result = function(duration_ns=duration_ns, **kwargs)
+    return result, result.render(description)

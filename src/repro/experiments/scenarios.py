@@ -16,10 +16,8 @@ import enum
 from typing import Mapping, Optional
 
 from repro.analysis.metrics import DriftRecorder
-from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
-from repro.attacks.dos import TaBlackholeAttack
-from repro.attacks.scheduler import at
-from repro.core.cluster import ClusterConfig, TA_NAME, TriadCluster, node_name
+from repro.attacks.timeline import TimedEvent, apply_timeline
+from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
@@ -126,19 +124,19 @@ def fault_free_low_aex(seed: int = 3, drift_interval_ns: int = 5 * SECOND) -> Ex
 # -- attack scenarios (paper §IV-B) ----------------------------------------------------
 
 
-def _attach_attacker(
-    experiment: Experiment, mode: AttackMode, victim_index: int = 3
-) -> CalibrationDelayAttacker:
-    attacker = CalibrationDelayAttacker(
-        experiment.sim,
-        victim_host=node_name(victim_index),
-        ta_host=TA_NAME,
-        mode=mode,
-        added_delay_ns=100 * MILLISECOND,
-    )
-    experiment.cluster.network.add_adversary(attacker)
-    experiment.attackers.append(attacker)
-    return attacker
+def _calibration_attack(mode: str) -> TimedEvent:
+    """The paper's on-path attacker at Node 3: +100 ms, active from build.
+
+    Canonical scenarios take their expected violations from the registry
+    (:mod:`repro.oracle.expectations`), so none are derived from this.
+    """
+    params = {"victim": 3, "mode": mode, "delay_ns": 100 * MILLISECOND}
+    return TimedEvent(None, "net-delay", params)
+
+
+def _honest_onset(switch_at_ns: int) -> list[TimedEvent]:
+    """Nodes 1 and 2's AEX sources paused from build until the switch."""
+    return [TimedEvent(None, "aex-suppress", {"node": index}, switch_at_ns) for index in (1, 2)]
 
 
 def fplus_low_aex(seed: int = 4, drift_interval_ns: int = SECOND) -> Experiment:
@@ -156,7 +154,7 @@ def fplus_low_aex(seed: int = 4, drift_interval_ns: int = SECOND) -> Experiment:
         drift_interval_ns=drift_interval_ns,
         notes="F+ attack; victim isolated from AEXs to let the slow clock free-run",
     )
-    _attach_attacker(experiment, AttackMode.F_PLUS)
+    apply_timeline(experiment, [_calibration_attack("fplus")])
     return experiment
 
 
@@ -175,7 +173,7 @@ def fplus_triad_like(seed: int = 5, drift_interval_ns: int = SECOND) -> Experime
         drift_interval_ns=drift_interval_ns,
         notes="F+ attack with frequent AEXs: bounded oscillating drift",
     )
-    _attach_attacker(experiment, AttackMode.F_PLUS)
+    apply_timeline(experiment, [_calibration_attack("fplus")])
     return experiment
 
 
@@ -201,12 +199,7 @@ def fminus_propagation(
         drift_interval_ns=drift_interval_ns,
         notes="F- attack with delayed honest-node AEX onset (paper's t=104s switch)",
     )
-    # Honest nodes' AEX sources stay paused until the switch instant.
-    for index in (1, 2):
-        source = experiment.cluster.machine.aex_sources[experiment.cluster.monitoring_cores[index - 1]]
-        source.pause()
-        at(experiment.sim, switch_at_ns, source.resume, name=f"aex-onset-node{index}")
-    _attach_attacker(experiment, AttackMode.F_MINUS)
+    apply_timeline(experiment, [*_honest_onset(switch_at_ns), _calibration_attack("fminus")])
     return experiment
 
 
@@ -236,12 +229,7 @@ def ta_blackhole_dos(
         drift_interval_ns=drift_interval_ns,
         notes="fail-closed under TA DoS: refresh starves, correctness holds",
     )
-    attacker = TaBlackholeAttack(
-        experiment.sim, ta_host=TA_NAME, victims=None, start_ns=start_ns
-    )
-    experiment.cluster.network.add_adversary(attacker)
-    experiment.attackers.append(attacker)
-    experiment.expected_violations |= attacker.expected_violations()
+    apply_timeline(experiment, [TimedEvent(start_ns, "ta-blackhole", {"victims": None})])
     return experiment
 
 
@@ -273,11 +261,7 @@ def hardened_fminus_propagation(
         cluster_config=hardened_cluster_config(),
         notes="S5 hardening vs the F- propagation attack",
     )
-    for index in (1, 2):
-        source = experiment.cluster.machine.aex_sources[experiment.cluster.monitoring_cores[index - 1]]
-        source.pause()
-        at(experiment.sim, switch_at_ns, source.resume, name=f"aex-onset-node{index}")
-    _attach_attacker(experiment, AttackMode.F_MINUS)
+    apply_timeline(experiment, [*_honest_onset(switch_at_ns), _calibration_attack("fminus")])
     return experiment
 
 
@@ -297,7 +281,7 @@ def hardened_fplus_suppressed_aex(seed: int = 7, drift_interval_ns: int = SECOND
         cluster_config=hardened_cluster_config(),
         notes="in-TCB deadlines bound free-running miscalibration",
     )
-    _attach_attacker(experiment, AttackMode.F_PLUS)
+    apply_timeline(experiment, [_calibration_attack("fplus")])
     return experiment
 
 
@@ -311,5 +295,5 @@ def baseline_fplus_suppressed_aex(seed: int = 7, drift_interval_ns: int = SECOND
         drift_interval_ns=drift_interval_ns,
         notes="unbounded F+ drift when AEXs are suppressed",
     )
-    _attach_attacker(experiment, AttackMode.F_PLUS)
+    apply_timeline(experiment, [_calibration_attack("fplus")])
     return experiment

@@ -26,13 +26,28 @@ variant, attacks, duration — that compiles into a wired
 drift table. Unknown keys are rejected — a typo must fail loudly, not
 silently run a different experiment.
 
-Besides the scenario-level ``attacks`` list, a spec may carry a *timed
-attack schedule*: a list of ``{"t_ns": ..., "primitive": ...,
-"params": {...}}`` entries drawn from :data:`SCHEDULE_PRIMITIVES`. This is
-the serialization format of ``repro.hunt`` genomes — every synthesized
-finding replays from plain spec JSON — but schedules are also handy for
-hand-scripted timelines at nanosecond resolution. Validation errors name
-the offending entry index (``schedule[3]: ...``).
+Every timed input of a spec compiles to one attack timeline
+(:mod:`repro.attacks.timeline`): a list of events, each an instant, a
+kind, params and an optional stop/heal instant, applied by one
+dispatcher. Four formats feed it, each validated at construction with
+errors naming the entry (``attacks[1]: ...``, ``schedule[3]: ...``):
+
+* ``attacks`` — scenario-level entries (:data:`ATTACK_TYPES`). They act
+  at build time, before any t=0 event: the F± attacker is built active,
+  and ``aex-onset``/``aex-suppress`` pause the nodes' AEX sources right
+  away (an onset resumes them at ``at_s``).
+* ``schedule`` — a timed attack schedule of ``{"t_ns": ..., "primitive":
+  ..., "params": {...}}`` entries drawn from :data:`SCHEDULE_PRIMITIVES`.
+  This is the serialization format of ``repro.hunt`` genomes — every
+  synthesized finding replays from plain spec JSON — and handy for
+  hand-scripted timelines at nanosecond resolution. Every entry fires
+  from a scheduled process, even at ``t_ns=0``; a window closes back to
+  the state it opened on.
+* ``churn.schedule`` — see below.
+* ``faults.schedule`` — the ``faults`` plane's fault plan.
+
+:meth:`ExperimentSpec.build` applies them in that order (the faults
+plane attaches last), so processes due at the same instant run in it.
 
 A spec may also carry one block per *plane* (see :mod:`repro.planes`):
 ``service`` (client SLOs through quorum front-ends), ``membership``
@@ -44,11 +59,11 @@ plane validates its own block with key-named errors
 Cluster churn is a scenario axis rather than a plane: a ``churn`` block
 ``{"absent": [indices], "schedule": [{"t_s": ..., "node": ...,
 "action": "leave" | "join"}]}`` starts the ``absent`` nodes dormant and
-off the fabric, and the schedule drives deterministic join/leave/rejoin
-at the given instants. Caution: a node that leaves during its own
-(re)calibration window black-holes its TA exchanges and the run fails
-with a calibration error — schedules must keep departures clear of
-FullCalib windows.
+off the fabric, and its schedule compiles to ``leave``/``join`` timeline
+events that drive deterministic join/leave/rejoin at the given instants.
+Caution: a node that leaves during its own (re)calibration window
+black-holes its TA exchanges and the run fails with a calibration error —
+schedules must keep departures clear of FullCalib windows.
 """
 
 from __future__ import annotations
@@ -58,31 +73,39 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.attacks.delay import AttackMode, CalibrationDelayAttacker
-from repro.attacks.dos import TaBlackholeAttack
-from repro.attacks.scheduler import at
-from repro.attacks.tscattack import TscOffsetAttack, TscScaleAttack
-from repro.core.cluster import ClusterConfig, TA_NAME, node_index, node_name
+from repro.attacks.timeline import (
+    DEFAULT_DOWN_MS,
+    TimedEvent,
+    apply_timeline,
+    check_entry,
+    check_keys,
+    expected_violations,
+    instant_ns,
+    ms_ns,
+)
+from repro.core.cluster import ClusterConfig, node_index
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
-from repro.hardware.aex import ExponentialAexDelays
 from repro.planes import carried_blocks
-from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
+from repro.sim.units import MICROSECOND, SECOND
 
 #: Recognized protocol variants.
 PROTOCOLS = ("original", "hardened")
 
-#: Recognized attack types and their required keys.
+#: ``attacks`` entry types -> (required keys, optional keys); every entry
+#: also carries its ``type``. Each compiles to the events of its schedule
+#: twin: fplus/fminus to ``net-delay``, aex-onset/aex-suppress to one
+#: build-time ``aex-suppress`` window per node.
 ATTACK_TYPES = {
-    "fplus": {"victim"},
-    "fminus": {"victim"},
-    "ta-blackhole": set(),
-    "tsc-scale": {"scale", "at_s"},
-    "tsc-offset": {"offset_ticks", "at_s"},
-    "aex-onset": {"nodes", "at_s"},
-    "aex-suppress": {"nodes"},
+    "fplus": ({"victim"}, {"delay_ms"}),
+    "fminus": ({"victim"}, {"delay_ms"}),
+    "ta-blackhole": (set(), {"victims", "start_s", "stop_s"}),
+    "tsc-scale": ({"scale", "at_s"}, {"victim"}),
+    "tsc-offset": ({"offset_ticks", "at_s"}, {"victim"}),
+    "aex-onset": ({"nodes", "at_s"}, set()),
+    "aex-suppress": ({"nodes"}, set()),
 }
 
 #: Attack keys and schedule params that must be numbers (a JSON string
@@ -98,16 +121,6 @@ _NUMBER_KEYS = (
     "start_s",
     "stop_s",
 )
-
-#: TSC manipulation hits the machine's counter, which on the default
-#: shared-host topology every node reads: any node's clock (and any
-#: untaint sourced from it) may go out of bound before the monitor
-#: catches the change, so the oracle allowance is cluster-wide.
-_TSC_ATTACK_VIOLATIONS = {
-    ("*", "drift-bound"),
-    ("*", "state-soundness"),
-    ("*", "untaint-safety"),
-}
 
 #: Timed-schedule primitives — the genome alphabet of ``repro.hunt``.
 #: Maps primitive name -> (required param keys, optional param keys).
@@ -134,7 +147,8 @@ SCHEDULE_PRIMITIVES = {
     "partition": ({"node"}, {"duration_ms"}),
 }
 
-_SCHEDULE_ENTRY_KEYS = {"t_ns", "primitive", "params"}
+#: Shape of a schedule entry (its params are checked per primitive).
+_SCHEDULE_ENTRY = dict.fromkeys(SCHEDULE_PRIMITIVES, (set(), {"params"}))
 
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
@@ -185,23 +199,105 @@ class ExperimentSpec:
                 raise ConfigurationError(f"environment for unknown node {index}")
             if environment not in ("triad-like", "low-aex"):
                 raise ConfigurationError(f"unknown environment {environment!r}")
-        for index, attack in enumerate(self.attacks):
-            self._validate_attack(index, attack)
-        for index, entry in enumerate(self.schedule):
-            self._validate_schedule_entry(index, entry)
-        if self.churn is not None:
-            self._validate_churn(self.churn)
+        self.timeline()  # validates attacks, schedule and churn
         for plane, block in carried_blocks(self):
             plane.validate(block, self)
 
-    def _validate_churn(self, raw: dict[str, Any]) -> None:
-        if not isinstance(raw, dict):
+    # -- the attack timeline ----------------------------------------------------------
+
+    def timeline(self) -> tuple[TimedEvent, ...]:
+        """Compile ``attacks``, ``schedule`` and ``churn`` into timeline events.
+
+        Validates as it goes, naming the offending entry. The order is
+        the one :meth:`build` applies the events in.
+        """
+        events: list[TimedEvent] = []
+        for index, attack in enumerate(self.attacks):
+            events += self._attack_events(f"attacks[{index}]", attack)
+        for index, entry in enumerate(self.schedule):
+            events.append(self._schedule_event(f"schedule[{index}]", entry))
+        if self.churn is not None:
+            events += self._churn_events(self.churn)
+        return tuple(events)
+
+    def _attack_events(self, where: str, attack: Any) -> list[TimedEvent]:
+        kind = check_entry(where, attack, ATTACK_TYPES, "type", noun="attack type")
+        self._check_params(where, attack)
+        if kind in ("fplus", "fminus"):
+            params = _event_params(where, "net-delay", {**attack, "mode": kind})
+            return [TimedEvent(None, "net-delay", params)]
+        if kind == "ta-blackhole":
+            start_ns = instant_ns(where, "start_s", attack.get("start_s", 0))
+            stop_ns = None
+            if "stop_s" in attack:
+                stop_ns = instant_ns(where, "stop_s", attack["stop_s"])
+                if stop_ns <= start_ns:
+                    raise ConfigurationError(f"{where}: stop_s must be after start_s")
+            return [TimedEvent(start_ns, kind, _event_params(where, kind, attack), stop_ns)]
+        at_ns = instant_ns(where, "at_s", attack["at_s"]) if "at_s" in attack else None
+        if kind in ("tsc-scale", "tsc-offset"):
+            return [TimedEvent(at_ns, kind, _event_params(where, kind, attack))]
+        # aex-onset / aex-suppress: a build-time suppression window per
+        # node, which an onset closes at at_s.
+        return [
+            TimedEvent(None, "aex-suppress", {"node": node}, at_ns)
+            for node in attack["nodes"]
+        ]
+
+    def _schedule_event(self, where: str, entry: Any) -> TimedEvent:
+        primitive = check_entry(
+            where, entry, _SCHEDULE_ENTRY, "primitive", base={"t_ns"}, noun="primitive"
+        )
+        t_ns = entry["t_ns"]
+        if isinstance(t_ns, bool) or not isinstance(t_ns, int) or t_ns < 0:
             raise ConfigurationError(
-                f"churn: block must be an object, got {type(raw).__name__}"
+                f"{where}: t_ns must be a non-negative integer, got {t_ns!r}"
             )
-        unknown = set(raw) - _CHURN_KEYS
-        if unknown:
-            raise ConfigurationError(f"churn: unknown keys {sorted(unknown)}")
+        required, optional = SCHEDULE_PRIMITIVES[primitive]
+        params = check_keys(
+            where, entry.get("params", {}), required, optional, what=f"{primitive} params"
+        )
+        self._check_params(where, params)
+        stop_ns = None
+        if "duration_ms" in params:
+            stop_ns = t_ns + ms_ns(params["duration_ms"])
+        if primitive == "node-crash":
+            stop_ns = t_ns + ms_ns(params.get("down_ms", DEFAULT_DOWN_MS))
+        return TimedEvent(t_ns, primitive, _event_params(where, primitive, params), stop_ns)
+
+    def _check_params(self, where: str, params: dict[str, Any]) -> None:
+        """Value checks shared by ``attacks`` entries and schedule params."""
+        for key in _NUMBER_KEYS:
+            value = params.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(f"{where}: {key} must be a number, got {value!r}")
+        for key in ("victim", "node"):
+            if key in params:
+                node_index(where, key, params[key], self.nodes)
+        if "victims" in params and not params["victims"]:
+            raise ConfigurationError(f"{where}: victims must be a non-empty list")
+        for key in ("nodes", "victims"):
+            values = params.get(key, [])
+            if not isinstance(values, list):
+                raise ConfigurationError(
+                    f"{where}: {key} must be a list of node indices, got {values!r}"
+                )
+            for value in values:
+                node_index(where, key, value, self.nodes)
+        if int(params.get("offset_ticks", 1)) == 0:
+            raise ConfigurationError(f"{where}: offset_ticks must be non-zero")
+        for key in ("scale", "mean_us", "delay_ms", "duration_ms", "down_ms"):
+            if key in params and not params[key] > 0:
+                raise ConfigurationError(
+                    f"{where}: {key} must be positive, got {params[key]!r}"
+                )
+        if params.get("mode", "fplus") not in ("fplus", "fminus"):
+            raise ConfigurationError(
+                f"{where}: mode must be 'fplus' or 'fminus', got {params['mode']!r}"
+            )
+
+    def _churn_events(self, raw: Any) -> list[TimedEvent]:
+        check_keys("churn", raw, (), _CHURN_KEYS, what="block")
         absent = raw.get("absent", [])
         if not isinstance(absent, list):
             raise ConfigurationError("churn.absent: must be a list of node indices")
@@ -219,144 +315,30 @@ class ExperimentSpec:
         if not isinstance(schedule, list):
             raise ConfigurationError("churn.schedule: must be a list of entries")
         present = set(range(1, self.nodes + 1)) - seen
-        for position, entry in enumerate(self._churn_entries(schedule)):
+        events = []
+        # Applied in time order (ties in list order); errors name positions
+        # in that order.
+        ordered = sorted(
+            schedule, key=lambda entry: entry.get("t_s", 0) if isinstance(entry, dict) else 0
+        )
+        for position, entry in enumerate(ordered):
             where = f"churn.schedule[{position}]"
-            if not isinstance(entry, dict):
-                raise ConfigurationError(
-                    f"{where}: entry must be an object, got {type(entry).__name__}"
-                )
-            unknown = set(entry) - _CHURN_ENTRY_KEYS
-            if unknown:
-                raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
-            missing = _CHURN_ENTRY_KEYS - set(entry)
-            if missing:
-                raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
-            t_s = entry["t_s"]
-            if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or t_s < 0:
-                raise ConfigurationError(
-                    f"{where}: t_s must be a non-negative number, got {t_s!r}"
-                )
+            check_keys(where, entry, _CHURN_ENTRY_KEYS)
+            t_ns = instant_ns(where, "t_s", entry["t_s"])
             index = node_index(where, "node", entry["node"], self.nodes)
             action = entry["action"]
             if action not in _CHURN_ACTIONS:
                 raise ConfigurationError(
                     f"{where}: unknown action {action!r}; choose from {_CHURN_ACTIONS}"
                 )
-            if action == "leave":
-                if index not in present:
-                    raise ConfigurationError(
-                        f"{where}: node {index} is already absent at t_s={t_s}"
-                    )
-                present.discard(index)
-            else:
-                if index in present:
-                    raise ConfigurationError(
-                        f"{where}: node {index} is already present at t_s={t_s}"
-                    )
-                present.add(index)
-
-    @staticmethod
-    def _churn_entries(schedule: list) -> list:
-        """Schedule entries in application order (time, then list order)."""
-        return sorted(
-            schedule,
-            key=lambda entry: (
-                entry.get("t_s", 0) if isinstance(entry, dict) else 0
-            ),
-        )
-
-    def _validate_attack(self, index: int, attack: Any) -> None:
-        where = f"attacks[{index}]"
-        if not isinstance(attack, dict):
-            raise ConfigurationError(
-                f"{where}: entry must be an object, got {type(attack).__name__}"
-            )
-        kind = attack.get("type")
-        if kind not in ATTACK_TYPES:
-            raise ConfigurationError(
-                f"{where}: unknown attack type {kind!r}; choose from {sorted(ATTACK_TYPES)}"
-            )
-        missing = ATTACK_TYPES[kind] - set(attack)
-        if missing:
-            raise ConfigurationError(f"{where}: attack {kind!r} missing keys: {sorted(missing)}")
-        _check_numbers(where, attack)
-        if "victim" in attack:
-            node_index(where, "victim", attack["victim"], self.nodes)
-        for key in ("nodes", "victims"):
-            if attack.get(key) is not None:
-                self._validate_node_list(where, key, attack[key])
-
-    def _validate_node_list(self, where: str, key: str, values: Any) -> None:
-        if not isinstance(values, list):
-            raise ConfigurationError(
-                f"{where}: {key} must be a list of node indices, got {values!r}"
-            )
-        for value in values:
-            node_index(where, key, value, self.nodes)
-
-    def _validate_schedule_entry(self, index: int, entry: Any) -> None:
-        where = f"schedule[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigurationError(
-                f"{where}: entry must be an object, got {type(entry).__name__}"
-            )
-        unknown = set(entry) - _SCHEDULE_ENTRY_KEYS
-        if unknown:
-            raise ConfigurationError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = {"t_ns", "primitive"} - set(entry)
-        if missing:
-            raise ConfigurationError(f"{where}: missing keys {sorted(missing)}")
-        t_ns = entry["t_ns"]
-        if isinstance(t_ns, bool) or not isinstance(t_ns, int) or t_ns < 0:
-            raise ConfigurationError(
-                f"{where}: t_ns must be a non-negative integer, got {t_ns!r}"
-            )
-        primitive = entry["primitive"]
-        if primitive not in SCHEDULE_PRIMITIVES:
-            raise ConfigurationError(
-                f"{where}: unknown primitive {primitive!r}; "
-                f"choose from {sorted(SCHEDULE_PRIMITIVES)}"
-            )
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigurationError(
-                f"{where}: params must be an object, got {type(params).__name__}"
-            )
-        required, optional = SCHEDULE_PRIMITIVES[primitive]
-        missing = required - set(params)
-        if missing:
-            raise ConfigurationError(
-                f"{where}: {primitive} params missing {sorted(missing)}"
-            )
-        unknown = set(params) - required - optional
-        if unknown:
-            raise ConfigurationError(
-                f"{where}: {primitive} has unknown params {sorted(unknown)}"
-            )
-        self._validate_schedule_params(where, primitive, params)
-
-    def _validate_schedule_params(
-        self, where: str, primitive: str, params: dict[str, Any]
-    ) -> None:
-        _check_numbers(where, params)
-        for key in ("victim", "node"):
-            if key in params:
-                node_index(where, key, params[key], self.nodes)
-        if "victims" in params:
-            if not params["victims"]:
-                raise ConfigurationError(f"{where}: victims must be a non-empty list")
-            self._validate_node_list(where, "victims", params["victims"])
-        if primitive == "tsc-offset" and int(params["offset_ticks"]) == 0:
-            raise ConfigurationError(f"{where}: offset_ticks must be non-zero")
-        for key in ("scale", "mean_us", "delay_ms", "duration_ms", "down_ms"):
-            if key in params and not params[key] > 0:
+            if (index in present) != (action == "leave"):
+                state = "absent" if action == "leave" else "present"
                 raise ConfigurationError(
-                    f"{where}: {key} must be positive, got {params[key]!r}"
+                    f"{where}: node {index} is already {state} at t_s={entry['t_s']}"
                 )
-        if primitive == "net-delay" and params["mode"] not in ("fplus", "fminus"):
-            raise ConfigurationError(
-                f"{where}: mode must be 'fplus' or 'fminus', got {params['mode']!r}"
-            )
+            present ^= {index}
+            events.append(TimedEvent(t_ns, action, {"node": index}))
+        return events
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ExperimentSpec":
@@ -438,219 +420,37 @@ class ExperimentSpec:
             cluster_config=cluster_config,
             notes=f"spec:{self.name}",
         )
-        for attack in self.attacks:
-            self._apply_attack(experiment, attack)
-        for index, entry in enumerate(self.schedule):
-            self._apply_schedule_entry(experiment, index, entry)
-        if self.churn is not None:
-            self._apply_churn(experiment)
+        timeline = self.timeline()
+        apply_timeline(experiment, timeline)
+        experiment.expected_violations |= expected_violations(timeline)
         for plane, block in carried_blocks(self):
             plane.attach(experiment, block)
         return experiment
-
-    def _apply_churn(self, experiment: Experiment) -> None:
-        cluster = experiment.cluster
-        sim = experiment.sim
-        for position, entry in enumerate(
-            self._churn_entries(self.churn.get("schedule", []))
-        ):
-            t_ns = int(float(entry["t_s"]) * SECOND)
-            index = int(entry["node"])
-            action = entry["action"]
-            apply = cluster.leave if action == "leave" else cluster.join
-
-            def fire(apply=apply, index=index):
-                apply(index)
-
-            at(sim, t_ns, fire, name=f"churn[{position}]/{action}-node{index}")
 
     def run(self) -> Experiment:
         """Build and run to the configured duration."""
         return self.build().run(self.duration_ns)
 
-    def _apply_attack(self, experiment: Experiment, attack: dict[str, Any]) -> None:
-        kind = attack["type"]
-        sim = experiment.sim
-        cluster = experiment.cluster
-        primary_ta = cluster.tas[0].name
-        if kind in ("fplus", "fminus"):
-            adversary = CalibrationDelayAttacker(
-                sim,
-                victim_host=node_name(int(attack["victim"])),
-                ta_host=primary_ta,
-                mode=AttackMode.F_PLUS if kind == "fplus" else AttackMode.F_MINUS,
-                added_delay_ns=int(attack.get("delay_ms", 100)) * MILLISECOND,
-            )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
-        elif kind == "ta-blackhole":
-            victims = attack.get("victims")
-            adversary = TaBlackholeAttack(
-                sim,
-                ta_host=primary_ta,
-                victims={node_name(int(v)) for v in victims} if victims else None,
-                start_ns=int(attack.get("start_s", 0) * SECOND),
-                stop_ns=(
-                    int(attack["stop_s"] * SECOND) if "stop_s" in attack else None
-                ),
-            )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
-        elif kind == "tsc-scale":
-            machine = cluster.node_machines[int(attack.get("victim", 1)) - 1]
-            TscScaleAttack(
-                sim, machine.tsc, at_ns=int(attack["at_s"] * SECOND), scale=float(attack["scale"])
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif kind == "tsc-offset":
-            machine = cluster.node_machines[int(attack.get("victim", 1)) - 1]
-            TscOffsetAttack(
-                sim,
-                machine.tsc,
-                at_ns=int(attack["at_s"] * SECOND),
-                offset_ticks=int(attack["offset_ticks"]),
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif kind == "aex-onset":
-            for index in attack["nodes"]:
-                source = self._node_source(cluster, int(index))
-                source.pause()
-                at(sim, int(attack["at_s"] * SECOND), source.resume, name=f"onset-{index}")
-        elif kind == "aex-suppress":
-            for index in attack["nodes"]:
-                self._node_source(cluster, int(index)).pause()
 
-    @staticmethod
-    def _node_source(cluster, index: int):
-        machine = cluster.node_machines[index - 1]
-        core = cluster.monitoring_cores[index - 1]
-        source = machine.aex_sources.get(core)
-        if source is None:
-            raise ConfigurationError(
-                f"node {index} has no AEX source to control — give it the "
-                f"'triad-like' environment in the spec"
-            )
-        return source
-
-    def _apply_schedule_entry(
-        self, experiment: Experiment, index: int, entry: dict[str, Any]
-    ) -> None:
-        sim = experiment.sim
-        cluster = experiment.cluster
-        primary_ta = cluster.tas[0].name
-        t_ns = int(entry["t_ns"])
-        primitive = entry["primitive"]
-        params = entry.get("params", {})
-        tag = f"schedule[{index}]/{primitive}"
-        stop_ns = None
-        if "duration_ms" in params:
-            stop_ns = t_ns + max(int(float(params["duration_ms"]) * MILLISECOND), 1)
-        if primitive == "tsc-offset":
-            machine = cluster.node_machines[int(params.get("victim", 1)) - 1]
-            TscOffsetAttack(
-                sim, machine.tsc, at_ns=t_ns, offset_ticks=int(params["offset_ticks"])
-            )
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif primitive == "tsc-scale":
-            machine = cluster.node_machines[int(params.get("victim", 1)) - 1]
-            TscScaleAttack(sim, machine.tsc, at_ns=t_ns, scale=float(params["scale"]))
-            experiment.expected_violations |= _TSC_ATTACK_VIOLATIONS
-        elif primitive == "aex-suppress":
-            source = self._ensure_schedule_source(cluster, int(params["node"]))
-            at(sim, t_ns, source.pause, name=f"{tag}-start")
-            if stop_ns is not None:
-                at(sim, stop_ns, source.resume, name=f"{tag}-stop")
-        elif primitive == "aex-flood":
-            source = self._ensure_schedule_source(cluster, int(params["node"]))
-            flood = ExponentialAexDelays(
-                max(int(float(params["mean_us"]) * MICROSECOND), 1)
-            )
-            previous_distribution = source.distribution
-            previously_enabled = source.enabled
-
-            def start_flood(source=source, flood=flood):
-                source.set_distribution(flood)
-                source.resume()
-
-            at(sim, t_ns, start_flood, name=f"{tag}-start")
-            if stop_ns is not None:
-
-                def stop_flood(
-                    source=source,
-                    distribution=previous_distribution,
-                    enabled=previously_enabled,
-                ):
-                    source.set_distribution(distribution)
-                    if not enabled:
-                        source.pause()
-
-                at(sim, stop_ns, stop_flood, name=f"{tag}-stop")
-        elif primitive == "ta-blackhole":
-            victims = params.get("victims")
-            adversary = TaBlackholeAttack(
-                sim,
-                ta_host=primary_ta,
-                victims={node_name(int(v)) for v in victims} if victims else None,
-                start_ns=t_ns,
-                stop_ns=stop_ns,
-            )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
-        elif primitive == "net-delay":
-            adversary = CalibrationDelayAttacker(
-                sim,
-                victim_host=node_name(int(params["victim"])),
-                ta_host=primary_ta,
-                mode=AttackMode.F_PLUS if params["mode"] == "fplus" else AttackMode.F_MINUS,
-                added_delay_ns=int(float(params.get("delay_ms", 100)) * MILLISECOND),
-                active=False,
-            )
-            cluster.network.add_adversary(adversary)
-            experiment.attackers.append(adversary)
-            experiment.expected_violations |= adversary.expected_violations()
-            at(sim, t_ns, adversary.enable, name=f"{tag}-start")
-            if stop_ns is not None:
-                at(sim, stop_ns, adversary.disable, name=f"{tag}-stop")
-        elif primitive in ("node-crash", "ta-outage", "partition"):
-            from repro.faults.inject import schedule_fault
-            from repro.faults.plan import FaultEvent
-
-            if primitive == "node-crash":
-                fault = {"node": int(params["node"])}
-                stop_ns = t_ns + max(int(float(params.get("down_ms", 500)) * MILLISECOND), 1)
-            elif primitive == "partition":
-                fault = {"island": [int(params["node"])], "name": tag}
-            else:
-                fault = {}
-            schedule_fault(experiment, FaultEvent(t_ns, primitive, fault, stop_ns), tag)
-
-    @staticmethod
-    def _ensure_schedule_source(cluster, index: int):
-        """AEX source on a node's monitoring core, created paused if absent.
-
-        Schedule primitives steer AEX pressure per node, but a ``low-aex``
-        node has no source to steer — so compilation attaches a disabled
-        one (it stays silent until an ``aex-flood`` window resumes it;
-        suppressing it is the no-op it should be).
-        """
-        machine = cluster.node_machines[index - 1]
-        core = cluster.monitoring_cores[index - 1]
-        source = machine.aex_sources.get(core)
-        if source is None:
-            source = machine.add_aex_source(
-                core, ExponentialAexDelays(SECOND), cause="os", enabled=False
-            )
-        return source
-
-
-def _check_numbers(where: str, entry: dict[str, Any]) -> None:
-    for key in _NUMBER_KEYS:
-        value = entry.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"{where}: {key} must be a number, got {value!r}")
+def _event_params(where: str, kind: str, raw: dict[str, Any]) -> dict[str, Any]:
+    """An entry's params as a timeline event's, in cluster units (ns)."""
+    if kind == "tsc-offset":
+        return {"victim": raw.get("victim", 1), "offset_ticks": int(raw["offset_ticks"])}
+    if kind == "tsc-scale":
+        return {"victim": raw.get("victim", 1), "scale": float(raw["scale"])}
+    if kind == "net-delay":
+        delay_ns = ms_ns(raw.get("delay_ms", 100))
+        return {"victim": raw["victim"], "mode": raw["mode"], "delay_ns": delay_ns}
+    if kind == "aex-flood":
+        mean_ns = max(int(float(raw["mean_us"]) * MICROSECOND), 1)
+        return {"node": raw["node"], "mean_ns": mean_ns}
+    if kind == "ta-blackhole":
+        return {"victims": raw.get("victims")}
+    if kind == "ta-outage":
+        return {"ta": 1}
+    if kind == "partition":
+        return {"island": [raw["node"]], "name": f"{where}/partition"}
+    return {"node": raw["node"]}  # aex-suppress, node-crash
 
 
 _SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))

@@ -12,24 +12,22 @@ Three pieces:
 * :class:`FaultPlan` (``plan.py``) — a validated, JSON-serializable fault
   schedule plus the recovery contract (deadline) and retry-policy
   overrides. Specs carry it as the ``faults`` block.
-* :func:`apply_fault_plan` (``inject.py``) — compiles a plan onto a built
-  experiment: timed crash/restart, TA down/up, partition open/heal and
-  loss-burst windows, retry-policy overrides on every node, and the
-  oracle's ``recovery`` invariant armed at the last heal instant.
+* the ``faults`` plane (``plane.py``) — attaches a plan to a built
+  experiment: retry-policy overrides on every node, the faults as
+  timeline events (:mod:`repro.attacks.timeline`: crash/restart, TA
+  down/up, partition open/heal, loss-burst windows), and the oracle's
+  ``recovery`` invariant armed at the last heal instant.
 * :func:`recovery_report` (``recovery.py``) — the deterministic MTTR /
   recovery summary read off the cluster's fault journal and per-node
   state timelines after the run.
 """
 
-from repro.faults.plan import FAULT_KINDS, FaultEvent, FaultPlan
-from repro.faults.inject import apply_fault_plan
+from repro.faults.plan import FAULT_KINDS, FaultPlan
 from repro.faults.recovery import recovery_report, render_recovery_report
 
 __all__ = [
     "FAULT_KINDS",
-    "FaultEvent",
     "FaultPlan",
-    "apply_fault_plan",
     "recovery_report",
     "render_recovery_report",
 ]

@@ -19,12 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from repro.attacks.timeline import DEFAULT_DOWN_MS, TimedEvent, check_entry, instant_ns, ms_ns
 from repro.core.cluster import node_index
 from repro.errors import ConfigurationError
 from repro.sim.units import MILLISECOND, SECOND
 
 #: Fault kinds -> (required keys, optional keys). Entries are flat:
-#: ``{"t_s": ..., "kind": ..., <params>}``.
+#: ``{"t_s": ..., "kind": ..., <params>}`` and compile to timeline events
+#: (:class:`~repro.attacks.timeline.TimedEvent`) with a heal instant.
 FAULT_KINDS = {
     # Enclave crash with full TEE state loss; cold restart after down_ms.
     "node-crash": ({"node"}, {"down_ms"}),
@@ -37,7 +39,6 @@ FAULT_KINDS = {
 }
 
 _PLAN_KEYS = {"schedule", "recovery_deadline_s", "retry"}
-_ENTRY_BASE_KEYS = {"t_s", "kind"}
 
 #: ``retry`` block keys -> (TriadNodeConfig field, converter). Converters
 #: turn spec units (seconds / milliseconds) into config-native ones.
@@ -53,32 +54,17 @@ _RETRY_FIELDS = {
     "attempt_budget": ("ta_fetch_attempt_budget", lambda v: None if v is None else int(v)),
 }
 
-#: A crashed node cold-boots after this long unless the entry says otherwise.
-DEFAULT_DOWN_MS = 500.0
 #: Post-heal grace before the recovery invariant flags stragglers. Sized
 #: for a cold FullCalib (monitor windows + two TA rounds) with slack.
 DEFAULT_RECOVERY_DEADLINE_S = 15.0
 
 
 @dataclass(frozen=True)
-class FaultEvent:
-    """One validated, normalized fault: inject at ``t_ns``, heal at ``heal_ns``.
-
-    Plan faults always heal; a spec schedule primitive without a
-    ``duration_ms`` compiles to ``heal_ns=None`` (never heals).
-    """
-
-    t_ns: int
-    kind: str
-    params: Mapping[str, Any]
-    heal_ns: Optional[int]
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A validated fault schedule plus its recovery contract."""
 
-    events: tuple[FaultEvent, ...]
+    #: Timeline events (:mod:`repro.attacks.timeline`); every one heals.
+    events: tuple[TimedEvent, ...]
     recovery_deadline_ns: int
     #: TriadNodeConfig field overrides (already converted to config units).
     retry_overrides: Mapping[str, Any] = field(default_factory=dict)
@@ -86,7 +72,7 @@ class FaultPlan:
     @property
     def last_heal_ns(self) -> int:
         """The instant the final fault heals (0 for an empty plan)."""
-        return max((event.heal_ns for event in self.events), default=0)
+        return max((event.stop_ns for event in self.events), default=0)
 
     @classmethod
     def from_spec(
@@ -128,7 +114,7 @@ class FaultPlan:
             events.append(
                 _validate_entry(index, entry, nodes=nodes, ta_count=ta_count)
             )
-        events.sort(key=lambda event: (event.t_ns, event.heal_ns, event.kind))
+        events.sort(key=lambda event: (event.t_ns, event.stop_ns, event.kind))
         _check_windows(events, duration_ns)
 
         return cls(
@@ -138,37 +124,16 @@ class FaultPlan:
         )
 
 
-def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> FaultEvent:
+def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> TimedEvent:
     where = f"faults.schedule[{index}]"
-    if not isinstance(entry, dict):
-        raise ConfigurationError(
-            f"{where}: entry must be an object, got {type(entry).__name__}"
-        )
-    kind = entry.get("kind")
-    if kind not in FAULT_KINDS:
-        raise ConfigurationError(
-            f"{where}: unknown kind {kind!r}; choose from {sorted(FAULT_KINDS)}"
-        )
-    required, optional = FAULT_KINDS[kind]
-    allowed = _ENTRY_BASE_KEYS | required | optional
-    unknown = set(entry) - allowed
-    if unknown:
-        raise ConfigurationError(f"{where}: {kind} has unknown keys {sorted(unknown)}")
-    missing = (required | {"t_s"}) - set(entry)
-    if missing:
-        raise ConfigurationError(f"{where}: {kind} missing keys {sorted(missing)}")
-    t_s = entry["t_s"]
-    if isinstance(t_s, bool) or not isinstance(t_s, (int, float)) or t_s < 0:
-        raise ConfigurationError(
-            f"{where}: t_s must be a non-negative number, got {t_s!r}"
-        )
-    t_ns = int(float(t_s) * SECOND)
+    kind = check_entry(where, entry, FAULT_KINDS, "kind", base={"t_s"})
+    t_ns = instant_ns(where, "t_s", entry["t_s"])
 
     if kind == "node-crash":
         node = node_index(where, "node", entry["node"], nodes)
         down_ms = entry.get("down_ms", DEFAULT_DOWN_MS)
         down_ns = _window_ns(where, "down_ms", down_ms)
-        return FaultEvent(t_ns, kind, {"node": node}, t_ns + down_ns)
+        return TimedEvent(t_ns, kind, {"node": node}, t_ns + down_ns)
     if kind == "ta-outage":
         ta = entry.get("ta", 1)
         if isinstance(ta, bool) or not isinstance(ta, int) or not 1 <= ta <= ta_count:
@@ -176,7 +141,7 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
                 f"{where}: ta must be an index in 1..{ta_count}, got {ta!r}"
             )
         duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
-        return FaultEvent(t_ns, kind, {"ta": ta}, t_ns + duration_ns)
+        return TimedEvent(t_ns, kind, {"ta": ta}, t_ns + duration_ns)
     if kind == "partition":
         island = entry["island"]
         if not isinstance(island, list) or not island:
@@ -199,7 +164,7 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
             raise ConfigurationError(f"{where}: name must be a non-empty string")
         duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
         params = {"island": tuple(sorted(members)), "name": name}
-        return FaultEvent(t_ns, kind, params, t_ns + duration_ns)
+        return TimedEvent(t_ns, kind, params, t_ns + duration_ns)
     # loss-burst
     probability = entry["drop_probability"]
     if (
@@ -212,7 +177,7 @@ def _validate_entry(index: int, entry: Any, *, nodes: int, ta_count: int) -> Fau
         )
     duration_ns = _window_ns(where, "duration_ms", entry["duration_ms"])
     params = {"drop_probability": float(probability)}
-    return FaultEvent(t_ns, kind, params, t_ns + duration_ns)
+    return TimedEvent(t_ns, kind, params, t_ns + duration_ns)
 
 
 def _window_ns(where: str, key: str, value: Any) -> int:
@@ -220,19 +185,19 @@ def _window_ns(where: str, key: str, value: Any) -> int:
         raise ConfigurationError(
             f"{where}: {key} must be a positive number, got {value!r}"
         )
-    return max(int(float(value) * MILLISECOND), 1)
+    return ms_ns(value)
 
 
-def _check_windows(events: list[FaultEvent], duration_ns: Optional[int]) -> None:
+def _check_windows(events: list[TimedEvent], duration_ns: Optional[int]) -> None:
     """Cross-entry checks: everything heals in-run, no impossible overlaps."""
     crash_windows: dict[int, tuple[int, int, int]] = {}
     burst_close_ns = -1
     partition_names: set[str] = set()
     for position, event in enumerate(events):
         where = f"faults.schedule[{position}]"
-        if duration_ns is not None and event.heal_ns >= duration_ns:
+        if duration_ns is not None and event.stop_ns >= duration_ns:
             raise ConfigurationError(
-                f"{where}: {event.kind} heals at {event.heal_ns / SECOND:.3f}s, "
+                f"{where}: {event.kind} heals at {event.stop_ns / SECOND:.3f}s, "
                 f"past the {duration_ns / SECOND:.3f}s run — every fault must "
                 f"heal in-run for the recovery contract to be judgeable"
             )
@@ -244,7 +209,7 @@ def _check_windows(events: list[FaultEvent], duration_ns: Optional[int]) -> None
                     f"{where}: node {node} crashes at {event.t_ns / SECOND:.3f}s "
                     f"while still down from faults.schedule[{previous[2]}]"
                 )
-            crash_windows[node] = (event.t_ns, event.heal_ns, position)
+            crash_windows[node] = (event.t_ns, event.stop_ns, position)
         elif event.kind == "partition":
             name = event.params["name"]
             if name in partition_names:
@@ -257,7 +222,7 @@ def _check_windows(events: list[FaultEvent], duration_ns: Optional[int]) -> None
                 raise ConfigurationError(
                     f"{where}: loss-burst windows must not overlap"
                 )
-            burst_close_ns = event.heal_ns
+            burst_close_ns = event.stop_ns
 
 
 def _validate_retry(raw: Any) -> dict[str, Any]:

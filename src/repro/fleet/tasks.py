@@ -247,24 +247,12 @@ def _run_hunt_genome(task: RunTask) -> dict:
 
 @register_runner("experiment")
 def _run_experiment(task: RunTask) -> dict:
-    """Execute one canonical experiment from the CLI registry."""
-    from repro.cli import _EXPERIMENTS
+    """Execute one canonical experiment from the figure registry."""
+    from repro.experiments.figures import EXPERIMENTS, run_experiment
 
     name = task.payload.get("experiment")
-    if name not in _EXPERIMENTS:
-        raise FleetError(f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}")
-    description, default_duration, runner = _EXPERIMENTS[name]
-    if default_duration is None:
-        # fig1 / inc / ablation: built-in seed and span, no knobs.
-        result = runner(None)
-        sim_ns = 0
-    else:
-        duration_ns = task.duration_ns or default_duration
-        kwargs = {} if task.seed is None else {"seed": task.seed}
-        result = runner(duration_ns=duration_ns, **kwargs)
-        sim_ns = duration_ns
-    try:
-        rendered = result.render()
-    except TypeError:
-        rendered = result.render(description)
+    if name not in EXPERIMENTS:
+        raise FleetError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    result, rendered = run_experiment(name, task.seed, task.duration_ns)
+    sim_ns = getattr(result, "duration_ns", 0)
     return {"experiment": name, "rendered": rendered, "sim_ns": sim_ns}

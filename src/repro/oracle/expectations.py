@@ -7,9 +7,8 @@ out of bound is the experiment working, not the oracle misfiring. This
 registry names those expectations per canonical scenario (and per sweep
 family, matched by task-name prefix), so ``repro reproduce --oracle
 strict`` passes while still catching anything off-script. Spec runs,
-the CLI presets included, take theirs from attack wiring instead: each
-attack unions its adversary's ``expected_violations()`` into the
-experiment's set.
+the CLI presets included, take theirs from their attack timeline
+instead (:func:`repro.attacks.timeline.expected_violations`).
 
 Entries are ``(node, invariant)`` pairs; ``"*"`` as the node matches any
 node (used where an attack's blast radius is deliberately unbounded, e.g.
@@ -33,7 +32,7 @@ _VICTIM = frozenset({("node-3", "drift-bound"), ("node-3", "state-soundness")})
 #: Violations of an unbounded propagation cascade: any node may end up
 #: out of bound, serving while out of bound, or adopting an out-of-bound
 #: peer's timestamp.
-_CASCADE = frozenset(
+CASCADE = frozenset(
     {
         (ANY_NODE, "drift-bound"),
         (ANY_NODE, "state-soundness"),
@@ -51,7 +50,7 @@ EXPECTED_VIOLATIONS: dict[str, frozenset[tuple[str, str]]] = {
     "fig5-fplus-triad-like": _VICTIM,
     "baseline-fplus-suppressed-aex": _VICTIM,
     # F− with propagation: the cascade may infect every honest node.
-    "fig6-fminus-propagation": _CASCADE,
+    "fig6-fminus-propagation": CASCADE,
     # Hardened protocol under the same attacks: the victim may transiently
     # exceed the bound before the discipline loop repairs it, but honest
     # nodes must hold (no wildcard entries).
@@ -67,7 +66,7 @@ PREFIX_EXPECTATIONS: dict[str, frozenset[tuple[str, str]]] = {
     # attack-delay sweep points attack node-3 with F+/F−.
     "attack-delay/": _VICTIM,
     # cluster-size sweep measures the F− infection itself.
-    "cluster-size/": _CASCADE,
+    "cluster-size/": CASCADE,
 }
 
 

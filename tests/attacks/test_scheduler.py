@@ -1,22 +1,15 @@
-"""Tests for scheduling attacks: suppression, flooding, scripted switches."""
+"""Tests for :func:`repro.attacks.scheduler.at`, the timeline's scheduled process."""
 
 import pytest
 
-from repro.attacks.scheduler import AexSuppressionAttack, EnvironmentSwitchAttack, at
+from repro.attacks.scheduler import at
 from repro.errors import ConfigurationError
-from repro.hardware.aex import AexPort, AexSource, FixedAexDelays
 from repro.sim import Simulator, units
 
 
 @pytest.fixture
 def sim():
     return Simulator(seed=60)
-
-
-@pytest.fixture
-def source(sim):
-    port = AexPort(sim, core_index=0)
-    return AexSource(sim, port, FixedAexDelays(units.SECOND), rng_name="t")
 
 
 class TestAt:
@@ -32,55 +25,3 @@ class TestAt:
         with pytest.raises(ConfigurationError):
             at(sim, 0, lambda: None)
 
-
-class TestSuppression:
-    def test_immediate_suppression_stops_aexs(self, sim, source):
-        AexSuppressionAttack(sim, source)
-        sim.run(until=10 * units.SECOND)
-        assert source.port.count == 0
-
-    def test_delayed_suppression(self, sim, source):
-        AexSuppressionAttack(sim, source, start_ns=3 * units.SECOND + 1)
-        sim.run(until=10 * units.SECOND)
-        assert source.port.count == 3  # AEXs at 1, 2, 3 s only
-
-    def test_suppression_window_with_resume(self, sim, source):
-        AexSuppressionAttack(
-            sim, source, start_ns=0, stop_ns=5 * units.SECOND
-        )
-        sim.run(until=10 * units.SECOND)
-        # Source resumes at ~5s (poll granularity), fires roughly 4-5 times.
-        assert 3 <= source.port.count <= 5
-
-    def test_invalid_window_rejected(self, sim, source):
-        with pytest.raises(ConfigurationError):
-            AexSuppressionAttack(sim, source, start_ns=5, stop_ns=5)
-
-
-class TestEnvironmentSwitch:
-    def test_distribution_switched_at_time(self, sim, source):
-        EnvironmentSwitchAttack(
-            sim,
-            source,
-            switch_at_ns=5 * units.SECOND,
-            new_distribution=FixedAexDelays(100 * units.MILLISECOND),
-        )
-        sim.run(until=10 * units.SECOND)
-        delays = source.port.inter_aex_delays_ns()
-        assert units.SECOND in delays
-        assert 100 * units.MILLISECOND in delays
-        # Cadence increased: far more than 10 AEXs total.
-        assert source.port.count > 40
-
-    def test_switch_can_resume_paused_source(self, sim, source):
-        source.pause()
-        EnvironmentSwitchAttack(
-            sim,
-            source,
-            switch_at_ns=5 * units.SECOND,
-            new_distribution=FixedAexDelays(units.SECOND),
-            enable=True,
-        )
-        sim.run(until=10 * units.SECOND)
-        assert 0 < source.port.count <= 5
-        assert all(event.time_ns > 5 * units.SECOND for event in source.port.history)

@@ -1,12 +1,17 @@
 """Tests for declarative experiment specifications."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.attacks.delay import CalibrationDelayAttacker
+from repro.attacks.timeline import TimedEvent, expected_violations
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ExperimentSpec
 from repro.hardened.node import HardenedTriadNode
 from repro.sim import units
+
+EXAMPLE_SPECS = sorted((Path(__file__).resolve().parents[2] / "examples" / "specs").glob("*.json"))
 
 
 def minimal_spec(**overrides):
@@ -75,11 +80,123 @@ class TestValidation:
         ):
             minimal_spec(attacks=[{"type": "tsc-offset", "offset_ticks": "x", "at_s": 1}])
 
+    def test_unknown_attack_keys_rejected(self):
+        with pytest.raises(
+            ConfigurationError, match=r"attacks\[0\]: fminus has unknown keys \['delay'\]"
+        ):
+            minimal_spec(attacks=[{"type": "fminus", "victim": 3, "delay": 50}])
+
+    def test_attack_values_checked_at_construction(self):
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: delay_ms must be positive"):
+            minimal_spec(attacks=[{"type": "fplus", "victim": 3, "delay_ms": 0}])
+        with pytest.raises(ConfigurationError, match=r"attacks\[1\]: stop_s must be after"):
+            minimal_spec(
+                attacks=[
+                    {"type": "fplus", "victim": 3},
+                    {"type": "ta-blackhole", "start_s": 10, "stop_s": 5},
+                ]
+            )
+        with pytest.raises(
+            ConfigurationError, match=r"attacks\[0\]: at_s must be a non-negative number"
+        ):
+            minimal_spec(attacks=[{"type": "aex-onset", "nodes": [1], "at_s": -3}])
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: offset_ticks must be non-zero"):
+            minimal_spec(attacks=[{"type": "tsc-offset", "offset_ticks": 0, "at_s": 1}])
+        with pytest.raises(ConfigurationError, match=r"attacks\[0\]: victims must be a non-empty"):
+            minimal_spec(attacks=[{"type": "ta-blackhole", "victims": []}])
+
+    def test_fractional_attack_delay_is_kept(self):
+        spec = minimal_spec(attacks=[{"type": "fminus", "victim": 3, "delay_ms": 1.5}])
+        (event,) = spec.timeline()
+        assert event.params["delay_ns"] == 1_500_000
+        assert spec.build().attackers[0].added_delay_ns == 1_500_000
+
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigurationError, match="invalid JSON"):
             ExperimentSpec.from_json("{nope")
         with pytest.raises(ConfigurationError):
             ExperimentSpec.from_json("[1, 2]")
+
+
+class TestAttackTimeline:
+    """Each ``attacks`` type pins the timeline events it compiles to.
+
+    ``t_ns=None`` acts at build time; pairs are the expected violations.
+    """
+
+    VICTIM3 = {("node-3", "drift-bound"), ("node-3", "state-soundness")}
+    CASCADE = {("*", "drift-bound"), ("*", "state-soundness"), ("*", "untaint-safety")}
+
+    CASES = {
+        "fplus": (
+            {"type": "fplus", "victim": 3},
+            [TimedEvent(None, "net-delay", {"victim": 3, "mode": "fplus", "delay_ns": 100_000_000})],
+            VICTIM3,
+        ),
+        "fminus": (
+            {"type": "fminus", "victim": 3, "delay_ms": 50},
+            [TimedEvent(None, "net-delay", {"victim": 3, "mode": "fminus", "delay_ns": 50_000_000})],
+            VICTIM3 | CASCADE,
+        ),
+        "ta-blackhole": (
+            {"type": "ta-blackhole", "start_s": 5, "stop_s": 10, "victims": [2]},
+            [TimedEvent(5 * units.SECOND, "ta-blackhole", {"victims": [2]}, 10 * units.SECOND)],
+            {("*", "freshness")},
+        ),
+        "tsc-scale": (
+            {"type": "tsc-scale", "scale": 1.05, "at_s": 6},
+            [TimedEvent(6 * units.SECOND, "tsc-scale", {"victim": 1, "scale": 1.05})],
+            CASCADE,
+        ),
+        "tsc-offset": (
+            {"type": "tsc-offset", "offset_ticks": -500, "at_s": 2.5, "victim": 2},
+            [TimedEvent(2_500_000_000, "tsc-offset", {"victim": 2, "offset_ticks": -500})],
+            CASCADE,
+        ),
+        "aex-onset": (
+            {"type": "aex-onset", "nodes": [1, 2], "at_s": 20},
+            [
+                TimedEvent(None, "aex-suppress", {"node": 1}, 20 * units.SECOND),
+                TimedEvent(None, "aex-suppress", {"node": 2}, 20 * units.SECOND),
+            ],
+            set(),
+        ),
+        "aex-suppress": (
+            {"type": "aex-suppress", "nodes": [2]},
+            [TimedEvent(None, "aex-suppress", {"node": 2})],
+            set(),
+        ),
+    }
+
+    def test_every_attack_type_is_pinned(self):
+        from repro.experiments.spec import ATTACK_TYPES
+
+        assert set(self.CASES) == set(ATTACK_TYPES)
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_attack_compiles_to_its_events(self, kind):
+        attack, events, pairs = self.CASES[kind]
+        spec = minimal_spec(attacks=[attack])
+        assert list(spec.timeline()) == events
+        assert expected_violations(events) == pairs
+        assert spec.build().expected_violations == pairs
+
+    def test_timeline_order_is_attacks_schedule_churn(self):
+        spec = minimal_spec(
+            attacks=[{"type": "fplus", "victim": 3}],
+            schedule=[_entry(t_ns=0)],
+            churn={"schedule": [{"t_s": 2.0, "node": 2, "action": "leave"}]},
+        )
+        assert [event.kind for event in spec.timeline()] == ["net-delay", "tsc-offset", "leave"]
+        assert [event.t_ns for event in spec.timeline()] == [None, 0, 2 * units.SECOND]
+
+
+@pytest.mark.parametrize("path", EXAMPLE_SPECS, ids=lambda path: path.stem)
+def test_example_spec_loads_and_builds(path):
+    spec = ExperimentSpec.load(path)
+    experiment = spec.build()
+    assert experiment.name == spec.name
+    assert ExperimentSpec.from_json(spec.to_json()) == spec
 
 
 class TestSerialization:
@@ -224,7 +341,9 @@ class TestScheduleValidation:
             )
 
     def test_unknown_params_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown params.*sneaky"):
+        with pytest.raises(
+            ConfigurationError, match=r"tsc-offset params has unknown keys \[.sneaky.\]"
+        ):
             minimal_spec(
                 schedule=[_entry(params={"offset_ticks": 1, "sneaky": True})]
             )
@@ -324,6 +443,25 @@ class TestScheduleBuild:
         machine = experiment.cluster.node_machines[1]
         core = experiment.cluster.monitoring_cores[1]
         assert machine.aex_sources[core].enabled is False
+
+    def test_aex_suppress_window_adds_no_aexs_to_a_silent_node(self):
+        # A low-aex node without residual interrupts has no AEX source; the
+        # window's close must leave the silent source it attached paused.
+        spec = minimal_spec(
+            seed=1,
+            duration_s=20,
+            environments={"1": "triad-like", "2": "low-aex", "3": "low-aex"},
+            schedule=[
+                {
+                    "t_ns": 1_000_000_000,
+                    "primitive": "aex-suppress",
+                    "params": {"node": 2, "duration_ms": 100},
+                }
+            ],
+        )
+        experiment = spec.run()
+        assert experiment.node(2).stats.aex_count == 0
+        assert experiment.node(1).stats.aex_count > 0
 
     def test_scheduled_aex_suppress_window_silences_the_node(self):
         spec = minimal_spec(

@@ -64,7 +64,7 @@ class TestEntryValidation:
 
     def test_crash_default_down_window(self):
         plan = _plan({"schedule": [{"t_s": 1.0, "kind": "node-crash", "node": 2}]})
-        assert plan.events[0].heal_ns == SECOND + int(500 * MILLISECOND)
+        assert plan.events[0].stop_ns == SECOND + int(500 * MILLISECOND)
 
     def test_ta_index_out_of_range(self):
         with pytest.raises(ConfigurationError, match="ta must be an index"):

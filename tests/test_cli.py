@@ -132,10 +132,10 @@ class TestSweepFleetFlags:
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
     def test_reproduce_stdout_is_identical_across_jobs(self, capsys, monkeypatch):
-        import repro.cli
+        from repro.experiments import figures
 
-        cheap = {name: repro.cli._EXPERIMENTS[name] for name in ("fig1", "ablation")}
-        monkeypatch.setattr(repro.cli, "_EXPERIMENTS", cheap)
+        cheap = {name: figures.EXPERIMENTS[name] for name in ("fig1", "ablation")}
+        monkeypatch.setattr(figures, "EXPERIMENTS", cheap)
         outputs = []
         for jobs in ("1", "2"):
             assert main(["reproduce", "--no-cache", "--jobs", jobs]) == 0
