@@ -17,7 +17,7 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.attacks.delay import AttackMode
-from repro.experiments.sweeps import attack_delay_tasks, run_point_tasks
+from repro.experiments.sweeps import attack_delay_sweep
 from repro.fleet.pool import FleetPool
 from repro.fleet.telemetry import FleetTelemetry
 from repro.sim.units import MILLISECOND, SECOND
@@ -33,19 +33,17 @@ SETTLE_NS = 60 * SECOND
 MEASURE_NS = 240 * SECOND
 
 
-def _tasks():
-    return attack_delay_tasks(
+def _run(jobs):
+    telemetry = FleetTelemetry()
+    started = time.perf_counter()
+    points = attack_delay_sweep(
         AttackMode.F_MINUS,
         delays_ns=DELAYS_NS,
         settle_ns=SETTLE_NS,
         measure_ns=MEASURE_NS,
+        pool=FleetPool(jobs=jobs),
+        telemetry=telemetry,
     )
-
-
-def _run(jobs):
-    telemetry = FleetTelemetry()
-    started = time.perf_counter()
-    points = run_point_tasks(_tasks(), pool=FleetPool(jobs=jobs), telemetry=telemetry)
     wall = time.perf_counter() - started
     return points, wall, telemetry
 

@@ -86,7 +86,7 @@ def check_entry(
     keys are required of every kind.
     """
     kind = _require_object(where, entry, "entry").get(kind_key)
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ConfigurationError(
             f"{where}: unknown {noun} {kind!r}; choose from {sorted(kinds)}"
         )

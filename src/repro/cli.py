@@ -54,16 +54,9 @@ import sys
 from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, OracleViolationError
-from repro.experiments import figures
+from repro.experiments import figures, sweeps
+from repro.fleet.tasks import spec_task
 from repro.sim.units import SECOND
-
-#: sweep name -> metric columns of its table.
-_SWEEP_METRICS: dict[str, list[str]] = {
-    "attack-delay": ["skew_measured", "skew_predicted", "drift_ms_per_s"],
-    "jitter": ["mean_abs_error_ppm", "error_spread_ppm"],
-    "cluster-size": ["honest_nodes", "infected_fraction", "last_infection_s"],
-    "aex-rate": ["availability", "aex_count", "peer_untaints", "ta_references"],
-}
 
 
 def _add_oracle_argument(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_membership_argument(run)
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
-    sweep.add_argument("sweep_name", choices=sorted(_SWEEP_METRICS))
+    sweep.add_argument("sweep_name", choices=sorted(sweeps.METRICS))
     sweep.add_argument("--seed", type=int, default=None, help="override the sweep's base seed")
     sweep.add_argument(
         "--limit", type=int, default=None, help="run only the first N points of the grid"
@@ -398,21 +391,6 @@ def _run_in_process(args, name: str, fn: Callable):
     return value, engines, 1
 
 
-def _spec_task(raw: dict):
-    """A fleet ``spec`` task; validates ``raw`` before any worker runs."""
-    from repro.experiments.spec import ExperimentSpec
-    from repro.fleet import RunTask
-
-    spec = ExperimentSpec.from_dict(raw)
-    return RunTask(
-        kind="spec",
-        name=spec.name,
-        seed=spec.seed,
-        duration_ns=spec.duration_ns,
-        payload={"spec": raw},
-    )
-
-
 def _run_spec_tasks(args, tasks: list) -> list:
     """Run spec tasks through the fleet; print every result's tables."""
     pool, cache, telemetry = _fleet_pieces(args)
@@ -427,42 +405,48 @@ def _run_spec_tasks(args, tasks: list) -> list:
     return results
 
 
-def _sweep_tasks(name: str, seed: Optional[int]) -> list:
+def _sweep_grid(name: str, seed: Optional[int]) -> list:
+    """The named sweep's default grid (attack-delay runs F−); ``seed``
+    replaces its base seed (jitter's seeds then count up from it)."""
     from repro.attacks.delay import AttackMode
-    from repro.experiments import sweeps
 
-    kwargs = {} if seed is None else {"seed": seed}
-    emitter = sweeps.TASK_EMITTERS[name]
+    if seed is None:
+        kwargs = {}
+    elif name == "jitter":
+        kwargs = {"seeds": range(seed, seed + len(sweeps.DEFAULT_JITTER_SEEDS))}
+    else:
+        kwargs = {"seed": seed}
     if name == "attack-delay":
-        return emitter(AttackMode.F_MINUS, **kwargs)
-    return emitter(**kwargs)
+        return sweeps.attack_delay_grid(AttackMode.F_MINUS, **kwargs)
+    grids = {
+        "jitter": sweeps.jitter_grid,
+        "cluster-size": sweeps.cluster_size_grid,
+        "aex-rate": sweeps.aex_rate_grid,
+    }
+    return grids[name](**kwargs)
 
 
 def _run_sweep(args) -> int:
     from repro.analysis.report import format_table, to_csv
     from repro.errors import FleetError
-    from repro.experiments import sweeps
 
     invalid = _validate_fleet_flags(args)
     if invalid is not None:
         return invalid
-    tasks = _sweep_tasks(args.sweep_name, args.seed)
-    if args.limit is not None:
-        tasks = tasks[: args.limit]
+    points = _sweep_grid(args.sweep_name, args.seed)[: args.limit]
+    _with_policies([task for point in points for task in point.tasks], args)
     pool, cache, telemetry = _fleet_pieces(args)
     try:
-        points = sweeps.run_point_tasks(
-            _with_policies(tasks, args), pool=pool, cache=cache, telemetry=telemetry
-        )
+        rows = sweeps.run_grid(points, pool=pool, cache=cache, telemetry=telemetry)
     except FleetError as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
-    metrics = _SWEEP_METRICS[args.sweep_name]
-    rows = [
-        [f"{value:.4g}" if isinstance(value, float) else value for value in point.row(metrics)]
-        for point in points
+    metrics = list(rows[0].metrics)
+    table = [
+        [f"{value:.4g}" if isinstance(value, float) else value for value in row.row(metrics)]
+        for row in rows
     ]
-    print(format_table([points[0].parameter] + metrics, rows, title=f"sweep: {args.sweep_name}"))
+    print(format_table([rows[0].parameter] + metrics, table, title=f"sweep: {args.sweep_name}"))
     _finish_fleet(args, telemetry)
     if args.export:
         from pathlib import Path
@@ -470,9 +454,8 @@ def _run_sweep(args) -> int:
         target = Path(args.export)
         target.mkdir(parents=True, exist_ok=True)
         csv_path = target / f"sweep_{args.sweep_name}.csv"
-        csv_path.write_text(
-            to_csv([points[0].parameter] + metrics, [point.row(metrics) for point in points])
-        )
+        header = [rows[0].parameter] + metrics
+        csv_path.write_text(to_csv(header, [row.row(metrics) for row in rows]))
         print(f"wrote {csv_path}")
     return 0
 
@@ -494,7 +477,7 @@ def _run_batch(args) -> int:
     tasks = []
     for path in spec_paths:
         try:
-            tasks.append(_spec_task(json.loads(path.read_text())))
+            tasks.append(spec_task(json.loads(path.read_text())))
         except (json.JSONDecodeError, ConfigurationError, TypeError) as exc:
             print(f"invalid spec {path}: {exc}", file=sys.stderr)
             return 1
@@ -702,7 +685,7 @@ def _run_preset(args) -> int:
     if invalid is not None:
         return invalid
     try:
-        task = _spec_task(_PRESETS[args.command](args))
+        task = spec_task(_PRESETS[args.command](args))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

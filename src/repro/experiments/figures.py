@@ -27,10 +27,9 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.timeline import render_cluster_timelines
-from repro.core.calibration import MeanOnlyCalibrator, RegressionCalibrator
-from repro.core.cluster import ClusterConfig
 from repro.experiments import scenarios
 from repro.experiments.runner import Experiment
+from repro.experiments.spec import ExperimentSpec
 from repro.hardware.aex import IsolatedCoreAexDelays, TriadLikeAexDelays
 from repro.hardware.cpu import CpuCore
 from repro.hardware.monitor import IncMonitor, PAPER_WINDOW_TICKS
@@ -402,30 +401,27 @@ def calibration_ablation(seed: int = 9, rounds: int = 8) -> CalibrationAblationR
     (it books the roundtrip as sleep time); regression stays within honest
     jitter of the truth.
     """
-    results: dict[str, float] = {}
-    for label, calibrator in (
-        ("regression", RegressionCalibrator()),
-        ("mean-only", MeanOnlyCalibrator()),
-    ):
-        sim = Simulator(seed=seed)
-        from repro.core.cluster import TriadCluster
-        from repro.core.node import TriadNodeConfig
-
-        config = ClusterConfig(
-            node_count=1,
-            node_config=TriadNodeConfig(calibration_rounds=rounds, monitor_enabled=False),
-            calibrators=[calibrator],
-        )
-        cluster = TriadCluster(sim, config)
-        sim.run(until=60 * SECOND)
-        frequency = cluster.node(1).stats.latest_frequency_hz
+    frequencies: dict[str, float] = {}
+    for calibrator in ("regression", "mean-only"):
+        experiment = ExperimentSpec(
+            name=f"ablation/{calibrator}",
+            seed=seed,
+            duration_s=60,
+            nodes=1,
+            machine_wide_mean_s=None,
+            node_config={
+                "calibration_rounds": rounds,
+                "monitor_enabled": False,
+                "calibrator": calibrator,
+            },
+        ).run()
+        frequency = experiment.node(1).stats.latest_frequency_hz
         assert frequency is not None
-        results[label] = frequency
-        true_frequency = cluster.machine.tsc.frequency_hz
+        frequencies[calibrator] = frequency
     return CalibrationAblationResult(
-        true_frequency_hz=true_frequency,
-        regression_frequency_hz=results["regression"],
-        mean_only_frequency_hz=results["mean-only"],
+        true_frequency_hz=experiment.cluster.machine.tsc.frequency_hz,
+        regression_frequency_hz=frequencies["regression"],
+        mean_only_frequency_hz=frequencies["mean-only"],
     )
 
 

@@ -13,7 +13,7 @@ is the compromised one in attack scenarios.
 from __future__ import annotations
 
 import enum
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from repro.analysis.metrics import DriftRecorder
 from repro.attacks.timeline import TimedEvent, apply_timeline
@@ -21,7 +21,7 @@ from repro.core.cluster import ClusterConfig, TriadCluster
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
-from repro.hardware.aex import ExponentialAexDelays, TriadLikeAexDelays
+from repro.hardware.aex import ExponentialAexDelays, InterAexDistribution, TriadLikeAexDelays
 from repro.sim.kernel import Simulator
 from repro.sim.units import MILLISECOND, SECOND
 
@@ -42,7 +42,7 @@ class AexEnvironment(enum.Enum):
 def build_experiment(
     name: str,
     seed: int,
-    environments: Mapping[int, AexEnvironment],
+    environments: Mapping[int, Union[AexEnvironment, InterAexDistribution]],
     machine_wide_mean_ns: Optional[int] = MACHINE_WIDE_MEAN_NS,
     machine_wide_correlation: float = 0.95,
     drift_interval_ns: int = SECOND,
@@ -51,9 +51,11 @@ def build_experiment(
 ) -> Experiment:
     """Assemble a three-node experiment with per-node AEX environments.
 
-    ``environments`` maps node index (1-based) to its environment; every
-    index in the cluster must be covered. ``machine_wide_mean_ns=None``
-    disables residual OS interrupts entirely.
+    ``environments`` maps node index (1-based) to its environment — an
+    :class:`AexEnvironment`, or an inter-AEX distribution driving a generic
+    OS-interrupt stream on the node's core; every index in the cluster
+    must be covered. ``machine_wide_mean_ns=None`` disables residual OS
+    interrupts entirely.
     """
     sim = Simulator(seed=seed)
     cluster = TriadCluster(sim, cluster_config)
@@ -62,10 +64,11 @@ def build_experiment(
             f"environments must cover nodes 1..{len(cluster.nodes)}, got {sorted(environments)}"
         )
     for index, environment in environments.items():
+        core = cluster.monitoring_cores[index - 1]
         if environment is AexEnvironment.TRIAD_LIKE:
-            cluster.machine.add_aex_source(
-                cluster.monitoring_cores[index - 1], TriadLikeAexDelays(), cause="rdmsr-sim"
-            )
+            cluster.machine.add_aex_source(core, TriadLikeAexDelays(), cause="rdmsr-sim")
+        elif not isinstance(environment, AexEnvironment):
+            cluster.machine.add_aex_source(core, environment)
     if machine_wide_mean_ns is not None:
         cluster.machine.add_machine_wide_interrupts(
             ExponentialAexDelays(machine_wide_mean_ns),

@@ -26,6 +26,22 @@ variant, attacks, duration — that compiles into a wired
 drift table. Unknown keys are rejected — a typo must fail loudly, not
 silently run a different experiment.
 
+Three build settings cover what the parameter sweeps and the §III-C
+calibration ablation vary; each defaults to the cluster's own choice and
+validates with errors naming the key (``link_delay.sigma: ...``):
+
+* an ``environments`` value may also be ``{"type": "exponential",
+  "mean_s": ...}`` — a generic OS-interrupt stream on the node's core,
+  attached at build time like ``triad-like``;
+* ``link_delay`` — every link's delay model, ``{"model": "constant",
+  "delay_us": ...}`` or ``{"model": "lognormal", "median_us": ...,
+  "sigma": ...}`` (unset: the paper LAN profile);
+* ``node_config`` — overrides of the node protocol config, limited to
+  :data:`NODE_CONFIG_KEYS`: ``calibration_rounds``,
+  ``calibration_max_attempts``, ``calibration_sleeps_ms`` (a list),
+  ``monitor_enabled``, ``monitor_calibration_samples``, and
+  ``calibrator`` (``regression``, the default, or ``mean-only``).
+
 Every timed input of a spec compiles to one attack timeline
 (:mod:`repro.attacks.timeline`): a list of events, each an instant, a
 kind, params and an optional stop/heal instant, applied by one
@@ -69,7 +85,7 @@ schedules must keep departures clear of FullCalib windows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -83,13 +99,17 @@ from repro.attacks.timeline import (
     instant_ns,
     ms_ns,
 )
+from repro.core.calibration import MeanOnlyCalibrator
 from repro.core.cluster import ClusterConfig, node_index
+from repro.core.node import TriadNode, TriadNodeConfig
 from repro.errors import ConfigurationError
 from repro.experiments.runner import Experiment
 from repro.experiments.scenarios import AexEnvironment, build_experiment
 from repro.hardened.node import HardenedNodeConfig, HardenedTriadNode
+from repro.hardware.aex import ExponentialAexDelays
+from repro.net.delays import ConstantDelay, DelayModel, LogNormalDelay
 from repro.planes import carried_blocks
-from repro.sim.units import MICROSECOND, SECOND
+from repro.sim.units import MICROSECOND, MILLISECOND, SECOND
 
 #: Recognized protocol variants.
 PROTOCOLS = ("original", "hardened")
@@ -150,6 +170,39 @@ SCHEDULE_PRIMITIVES = {
 #: Shape of a schedule entry (its params are checked per primitive).
 _SCHEDULE_ENTRY = dict.fromkeys(SCHEDULE_PRIMITIVES, (set(), {"params"}))
 
+#: Per-node AEX environments: the paper's two (Fig. 1) as names, plus a
+#: generic exponential OS-interrupt stream as ``{"type": "exponential",
+#: "mean_s": ...}``.
+ENVIRONMENTS = {
+    "triad-like": AexEnvironment.TRIAD_LIKE,
+    "low-aex": AexEnvironment.LOW_AEX,
+}
+_ENVIRONMENT_TYPES = {"exponential": ({"mean_s"}, set())}
+
+#: ``link_delay`` models -> (required, optional) keys besides ``model``.
+LINK_DELAY_MODELS = {
+    "constant": ({"delay_us"}, set()),
+    "lognormal": ({"median_us", "sigma"}, set()),
+}
+
+#: Calibration estimators (§III-C); None is the node default, regression.
+CALIBRATORS = {"regression": None, "mean-only": MeanOnlyCalibrator}
+
+#: ``node_config`` keys (the protocol settings sweeps and the ablation
+#: vary) -> what a valid value is.
+NODE_CONFIG_KEYS = {
+    "calibration_rounds": "a positive integer",
+    "calibration_max_attempts": "a positive integer",
+    "calibration_sleeps_ms": "a list of at least two distinct non-negative numbers",
+    "monitor_enabled": "true or false",
+    "monitor_calibration_samples": "a positive integer",
+    "calibrator": f"one of {sorted(CALIBRATORS)}",
+}
+
+#: Keys :meth:`ExperimentSpec.to_json` writes only when set, so spec
+#: files written before they existed round-trip byte for byte.
+_UNSET_OMITTED = ("link_delay", "node_config")
+
 _CHURN_KEYS = {"absent", "schedule"}
 _CHURN_ENTRY_KEYS = {"t_s", "node", "action"}
 _CHURN_ACTIONS = ("leave", "join")
@@ -164,11 +217,18 @@ class ExperimentSpec:
     duration_s: float = 300.0
     nodes: int = 3
     protocol: str = "original"
-    #: node index (int) -> "triad-like" | "low-aex"; unlisted: "low-aex".
-    environments: dict[int, str] = field(default_factory=dict)
+    #: node index (int) -> "triad-like" | "low-aex" | {"type":
+    #: "exponential", "mean_s": ...}; unlisted: "low-aex".
+    environments: dict[int, Any] = field(default_factory=dict)
     machine_wide_mean_s: Optional[float] = 324.0
     machine_wide_correlation: float = 0.95
     ta_count: int = 1
+    #: Delay model of every link (None: the paper LAN profile):
+    #: ``{"model": "constant", "delay_us": ...}`` or ``{"model":
+    #: "lognormal", "median_us": ..., "sigma": ...}``.
+    link_delay: Optional[dict[str, Any]] = None
+    #: Overrides of the node protocol config (keys: :data:`NODE_CONFIG_KEYS`).
+    node_config: Optional[dict[str, Any]] = None
     attacks: list[dict[str, Any]] = field(default_factory=list)
     #: Timed attack schedule: [{"t_ns": int, "primitive": str, "params": {...}}].
     schedule: list[dict[str, Any]] = field(default_factory=list)
@@ -194,12 +254,9 @@ class ExperimentSpec:
                 f"unknown protocol {self.protocol!r}; choose from {PROTOCOLS}"
             )
         self.environments = {int(k): v for k, v in self.environments.items()}
-        for index, environment in self.environments.items():
-            if not 1 <= index <= self.nodes:
-                raise ConfigurationError(f"environment for unknown node {index}")
-            if environment not in ("triad-like", "low-aex"):
-                raise ConfigurationError(f"unknown environment {environment!r}")
+        self._environments()
         self.timeline()  # validates attacks, schedule and churn
+        self._cluster_config()  # validates link_delay and node_config
         for plane, block in carried_blocks(self):
             plane.validate(block, self)
 
@@ -364,6 +421,9 @@ class ExperimentSpec:
     def to_json(self) -> str:
         raw = {f.name: getattr(self, f.name) for f in fields(self)}
         raw["environments"] = {str(k): v for k, v in self.environments.items()}
+        for key in _UNSET_OMITTED:
+            if raw[key] is None:
+                del raw[key]
         return json.dumps(raw, indent=2)
 
     # -- compilation ------------------------------------------------------------
@@ -372,40 +432,49 @@ class ExperimentSpec:
     def duration_ns(self) -> int:
         return int(self.duration_s * SECOND)
 
-    def build(self) -> Experiment:
-        """Wire the experiment (does not run it)."""
-        environments = {
-            index: (
-                AexEnvironment.TRIAD_LIKE
-                if self.environments.get(index, "low-aex") == "triad-like"
-                else AexEnvironment.LOW_AEX
-            )
-            for index in range(1, self.nodes + 1)
-        }
+    def _environments(self) -> dict[int, Any]:
+        """Node index -> :class:`AexEnvironment` or inter-AEX distribution."""
+        compiled: dict[int, Any] = {}
+        for index in range(1, self.nodes + 1):
+            environment = self.environments.get(index, "low-aex")
+            if isinstance(environment, dict):
+                where = f"environments.{index}"
+                check_entry(where, environment, _ENVIRONMENT_TYPES, "type", noun="environment")
+                mean_ns = _positive_ns(where, "mean_s", environment["mean_s"], SECOND)
+                compiled[index] = ExponentialAexDelays(mean_ns)
+            elif isinstance(environment, str) and environment in ENVIRONMENTS:
+                compiled[index] = ENVIRONMENTS[environment]
+            else:
+                raise ConfigurationError(f"unknown environment {environment!r}")
+        unknown = set(self.environments) - set(compiled)
+        if unknown:
+            raise ConfigurationError(f"environment for unknown node {min(unknown)}")
+        return compiled
+
+    def _cluster_config(self) -> ClusterConfig:
+        hardened = self.protocol == "hardened"
+        node_config, calibrator = _node_config(
+            self.node_config or {}, HardenedNodeConfig() if hardened else TriadNodeConfig()
+        )
         initial_absent: tuple[int, ...] = ()
         if self.churn is not None:
             initial_absent = tuple(sorted(self.churn.get("absent", [])))
-        # Shared-host clusters pin one monitoring core per node; specs may
-        # deploy hundreds of nodes, so the host grows beyond the paper's
-        # 32 cores when needed (identical machine for nodes <= 32).
-        core_count = max(32, self.nodes)
-        if self.protocol == "hardened":
-            cluster_config = ClusterConfig(
-                node_count=self.nodes,
-                core_count=core_count,
-                ta_count=self.ta_count,
-                node_class=HardenedTriadNode,
-                node_config=HardenedNodeConfig(),
-                initial_absent=initial_absent,
-            )
-        else:
-            cluster_config = ClusterConfig(
-                node_count=self.nodes,
-                core_count=core_count,
-                ta_count=self.ta_count,
-                initial_absent=initial_absent,
-            )
+        return ClusterConfig(
+            node_count=self.nodes,
+            # Shared-host clusters pin one monitoring core per node; specs
+            # may deploy hundreds of nodes, so the host grows beyond the
+            # paper's 32 cores when needed.
+            core_count=max(32, self.nodes),
+            ta_count=self.ta_count,
+            delay_model=_link_delay(self.link_delay),
+            node_class=HardenedTriadNode if hardened else TriadNode,
+            node_config=node_config,
+            calibrators=None if calibrator is None else [calibrator() for _ in range(self.nodes)],
+            initial_absent=initial_absent,
+        )
 
+    def build(self) -> Experiment:
+        """Wire the experiment (does not run it)."""
         machine_wide_mean = (
             None
             if self.machine_wide_mean_s is None
@@ -414,10 +483,10 @@ class ExperimentSpec:
         experiment = build_experiment(
             name=self.name,
             seed=self.seed,
-            environments=environments,
+            environments=self._environments(),
             machine_wide_mean_ns=machine_wide_mean,
             machine_wide_correlation=self.machine_wide_correlation,
-            cluster_config=cluster_config,
+            cluster_config=self._cluster_config(),
             notes=f"spec:{self.name}",
         )
         timeline = self.timeline()
@@ -451,6 +520,66 @@ def _event_params(where: str, kind: str, raw: dict[str, Any]) -> dict[str, Any]:
     if kind == "partition":
         return {"island": [raw["node"]], "name": f"{where}/partition"}
     return {"node": raw["node"]}  # aex-suppress, node-crash
+
+
+def _positive(where: str, key: str, value: Any) -> float:
+    if not _is_number(value) or not value > 0:
+        raise ConfigurationError(f"{where}.{key}: must be a positive number, got {value!r}")
+    return value
+
+
+def _positive_ns(where: str, key: str, value: Any, unit: int) -> int:
+    """A positive number of ``unit`` s, as whole nanoseconds."""
+    return round(_positive(where, key, value) * unit)
+
+
+def _link_delay(block: Optional[dict[str, Any]]) -> Optional[DelayModel]:
+    """The ``link_delay`` block as a delay model (None: the cluster default)."""
+    if block is None:
+        return None
+    model = check_entry("link_delay", block, LINK_DELAY_MODELS, "model", noun="delay model")
+    if model == "constant":
+        return ConstantDelay(_positive_ns("link_delay", "delay_us", block["delay_us"], MICROSECOND))
+    return LogNormalDelay(
+        median_ns=_positive_ns("link_delay", "median_us", block["median_us"], MICROSECOND),
+        sigma=float(_positive("link_delay", "sigma", block["sigma"])),
+    )
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _valid_node_setting(key: str, value: Any) -> bool:
+    if key == "calibrator":
+        return isinstance(value, str) and value in CALIBRATORS
+    if key == "monitor_enabled":
+        return isinstance(value, bool)
+    if key == "calibration_sleeps_ms":
+        return (
+            isinstance(value, list)
+            and all(_is_number(sleep) and sleep >= 0 for sleep in value)
+            and len(set(value)) >= 2
+        )
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _node_config(
+    block: dict[str, Any], base: TriadNodeConfig
+) -> tuple[TriadNodeConfig, Optional[type]]:
+    """``base`` with the ``node_config`` overrides, plus the calibrator class."""
+    check_keys("node_config", block, (), NODE_CONFIG_KEYS, what="block")
+    for key, value in block.items():
+        if not _valid_node_setting(key, value):
+            raise ConfigurationError(
+                f"node_config.{key}: must be {NODE_CONFIG_KEYS[key]}, got {value!r}"
+            )
+    overrides = dict(block)
+    calibrator = CALIBRATORS[overrides.pop("calibrator", "regression")]
+    if "calibration_sleeps_ms" in overrides:
+        sleeps = overrides.pop("calibration_sleeps_ms")
+        overrides["calibration_sleeps_ns"] = tuple(round(s * MILLISECOND) for s in sleeps)
+    return replace(base, **overrides), calibrator
 
 
 _SPEC_KEYS = frozenset(f.name for f in fields(ExperimentSpec))

@@ -1,8 +1,8 @@
 """Serializable run descriptions: the unit of work the fleet executes.
 
-A :class:`RunTask` captures *what* to run — a sweep point, a declarative
-spec, a canonical experiment — as plain JSON-able data, never as live
-objects. That buys three things at once:
+A :class:`RunTask` captures *what* to run — a declarative spec (a sweep
+point is one or more), a canonical experiment — as plain JSON-able data,
+never as live objects. That buys three things at once:
 
 * **portability** — tasks pickle cheaply into worker processes;
 * **addressability** — :meth:`RunTask.content_hash` is a stable digest of
@@ -13,14 +13,14 @@ objects. That buys three things at once:
   nothing else, so the result is a pure function of the task.
 
 Executors are registered per ``kind`` with :func:`register_runner`; the
-built-in kinds are ``sweep-point``, ``spec``, ``hunt-genome`` and
-``experiment``. ``spec`` is the one kind that runs declarative specs: its
-value carries the report of every plane the run attached (``service``,
-``membership``, ``faults``; see :mod:`repro.planes`). An executor
-returns a JSON-able dict (it must round-trip through
-``json.dumps``/``loads`` unchanged — the cache stores it that way) and
-should include a ``sim_ns`` entry so telemetry can report simulated
-seconds per wall second.
+built-in kinds are ``spec``, ``hunt-genome`` and ``experiment``. ``spec``
+is the one kind that runs declarative specs: its value carries the report
+of every plane the run attached (``service``, ``membership``, ``faults``;
+see :mod:`repro.planes`), or, for a sweep point, the metrics its sweep's
+metric function read off the run. An executor returns a JSON-able dict
+(it must round-trip through ``json.dumps``/``loads`` unchanged — the
+cache stores it that way) and should include a ``sim_ns`` entry so
+telemetry can report simulated seconds per wall second.
 """
 
 from __future__ import annotations
@@ -185,30 +185,6 @@ def result_violations(value: Any) -> list[dict]:
 # (once per worker process).
 
 
-@register_runner("sweep-point")
-def _run_sweep_point(task: RunTask) -> dict:
-    """Execute one sweep point (see ``repro.experiments.sweeps``)."""
-    from repro.experiments import sweeps
-
-    sweep_name = task.payload.get("sweep")
-    point_fn = sweeps.POINT_FUNCTIONS.get(sweep_name)
-    if point_fn is None:
-        raise FleetError(
-            f"unknown sweep {sweep_name!r}; choose from {sorted(sweeps.POINT_FUNCTIONS)}"
-        )
-    kwargs = dict(task.payload.get("kwargs", {}))
-    point = point_fn(**kwargs)
-    return {
-        "point": {
-            "parameter": point.parameter,
-            "value": point.value,
-            "metrics": dict(point.metrics),
-            "sim_ns": point.sim_ns,
-        },
-        "sim_ns": point.sim_ns,
-    }
-
-
 def spec_result(spec, experiment) -> dict:
     """JSON-able value of a finished spec run: the drift table plus the
     report of every plane attached to it (``rendered`` shows both)."""
@@ -228,13 +204,42 @@ def spec_result(spec, experiment) -> dict:
     }
 
 
+def spec_task(raw: dict, **payload: Any) -> RunTask:
+    """A ``spec`` task running the spec dict ``raw``, validated now (before
+    any worker runs); ``payload`` adds keys such as a sweep ``metric``."""
+    from repro.experiments.spec import ExperimentSpec
+
+    spec = ExperimentSpec.from_dict(raw)
+    return RunTask(
+        kind="spec",
+        name=spec.name,
+        seed=spec.seed,
+        duration_ns=spec.duration_ns,
+        payload={"spec": raw, **payload},
+    )
+
+
 @register_runner("spec")
 def _run_spec(task: RunTask) -> dict:
-    """Execute a declarative experiment spec (``repro.experiments.spec``)."""
+    """Execute a declarative experiment spec (``repro.experiments.spec``).
+
+    A ``metric`` in the payload (``{"sweep": name, **args}``) names a sweep
+    metric function (``repro.experiments.sweeps.METRICS``); the value then
+    carries its ``metrics`` instead of the drift table.
+    """
     from repro.experiments.spec import ExperimentSpec
 
     spec = ExperimentSpec.from_dict(dict(task.payload["spec"]))
-    return spec_result(spec, spec.run())
+    if "metric" not in task.payload:
+        return spec_result(spec, spec.run())
+    from repro.experiments.sweeps import METRICS
+
+    args = dict(task.payload["metric"])
+    name = args.pop("sweep", None)
+    if name not in METRICS:
+        raise FleetError(f"unknown sweep metric {name!r}; choose from {sorted(METRICS)}")
+    metrics = METRICS[name](spec.run(), **args)
+    return {"spec": spec.name, "metrics": metrics, "sim_ns": spec.duration_ns}
 
 
 @register_runner("hunt-genome")

@@ -4,11 +4,12 @@ The oracle's strict mode fails a run on any violation that is not
 expected. For benign scenarios the expected set is empty; for the paper's
 attack scenarios the violations *are* the result — fig4's victim drifting
 out of bound is the experiment working, not the oracle misfiring. This
-registry names those expectations per canonical scenario (and per sweep
-family, matched by task-name prefix), so ``repro reproduce --oracle
-strict`` passes while still catching anything off-script. Spec runs,
-the CLI presets included, take theirs from their attack timeline
-instead (:func:`repro.attacks.timeline.expected_violations`).
+registry names those expectations per canonical scenario, so ``repro
+reproduce --oracle strict`` passes while still catching anything
+off-script. Spec runs — the CLI presets and every sweep point included —
+take theirs from their attack timeline instead
+(:func:`repro.attacks.timeline.expected_violations`); a run's name never
+widens them.
 
 Entries are ``(node, invariant)`` pairs; ``"*"`` as the node matches any
 node (used where an attack's blast radius is deliberately unbounded, e.g.
@@ -60,25 +61,10 @@ EXPECTED_VIOLATIONS: dict[str, frozenset[tuple[str, str]]] = {
     "dos-ta-blackhole": frozenset({(ANY_NODE, "freshness")}),
 }
 
-#: Task-name prefix -> expected pairs, for fleet tasks that are not
-#: canonical experiments (sweep points are named ``<sweep>/<point>``).
-PREFIX_EXPECTATIONS: dict[str, frozenset[tuple[str, str]]] = {
-    # attack-delay sweep points attack node-3 with F+/F−.
-    "attack-delay/": _VICTIM,
-    # cluster-size sweep measures the F− infection itself.
-    "cluster-size/": CASCADE,
-}
-
 
 def expected_for(name: str) -> frozenset[tuple[str, str]]:
-    """Expected violation pairs for a scenario/task name (empty default)."""
-    exact = EXPECTED_VIOLATIONS.get(name)
-    if exact is not None:
-        return exact
-    for prefix, expected in PREFIX_EXPECTATIONS.items():
-        if name.startswith(prefix):
-            return expected
-    return frozenset()
+    """Expected violation pairs for a canonical scenario name (empty default)."""
+    return EXPECTED_VIOLATIONS.get(name, frozenset())
 
 
 def is_expected(key: tuple[str, str], expected: Iterable[tuple[str, str]]) -> bool:

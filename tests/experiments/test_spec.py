@@ -481,3 +481,178 @@ class TestScheduleBuild:
         assert any(
             t < 10 * units.SECOND for t in experiment.node(3).stats.aex_times_ns
         )
+
+
+class TestBuildKeys:
+    """``link_delay``, ``node_config`` and the exponential environment."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("link_delay", {"model": "pareto"}, "link_delay: unknown delay model"),
+            ("link_delay", {"model": ["constant"]}, "link_delay: unknown delay model"),
+            (
+                "link_delay",
+                {"model": "constant", "delay_us": 1, "sigma": 1},
+                "link_delay: constant has unknown keys",
+            ),
+            (
+                "link_delay",
+                {"model": "lognormal", "median_us": 150},
+                "link_delay: lognormal missing keys",
+            ),
+            (
+                "link_delay",
+                {"model": "constant", "delay_us": 0},
+                "link_delay.delay_us: must be a positive",
+            ),
+            (
+                "link_delay",
+                {"model": "lognormal", "median_us": 150, "sigma": -1},
+                "link_delay.sigma: must be a positive",
+            ),
+            (
+                "link_delay",
+                {"model": "lognormal", "median_us": "150", "sigma": 1},
+                "link_delay.median_us: must be a positive",
+            ),
+            (
+                "node_config",
+                {"ta_retry_limit": 3},
+                r"node_config: block has unknown keys \['ta_retry_limit'\]",
+            ),
+            (
+                "node_config",
+                {"calibration_rounds": 0},
+                "node_config.calibration_rounds: must be a positive integer",
+            ),
+            (
+                "node_config",
+                {"calibration_max_attempts": 2.5},
+                "node_config.calibration_max_attempts: must be a positive integer",
+            ),
+            (
+                "node_config",
+                {"monitor_calibration_samples": True},
+                "node_config.monitor_calibration_samples: must be a positive integer",
+            ),
+            (
+                "node_config",
+                {"monitor_enabled": 0},
+                "node_config.monitor_enabled: must be true or false",
+            ),
+            (
+                "node_config",
+                {"calibration_sleeps_ms": [50, 50]},
+                "node_config.calibration_sleeps_ms: must be a list of at least two distinct",
+            ),
+            (
+                "node_config",
+                {"calibration_sleeps_ms": [0, "5"]},
+                "node_config.calibration_sleeps_ms: must be a list",
+            ),
+            (
+                "node_config",
+                {"calibration_sleeps_ms": [0, -5]},
+                "node_config.calibration_sleeps_ms: must be a list",
+            ),
+            ("node_config", {"calibrator": ["mean-only"]}, "node_config.calibrator: must be"),
+            (
+                "node_config",
+                {"calibrator": "median"},
+                r"node_config.calibrator: must be one of \['mean-only', 'regression'\]",
+            ),
+            (
+                "environments",
+                {"1": {"type": "poisson", "mean_s": 1}},
+                "environments.1: unknown environment",
+            ),
+            (
+                "environments",
+                {"1": {"type": "exponential"}},
+                "environments.1: exponential missing keys",
+            ),
+            (
+                "environments",
+                {"1": {"type": "exponential", "mean_s": 1, "x": 1}},
+                "environments.1: exponential has unknown keys",
+            ),
+            (
+                "environments",
+                {"2": {"type": "exponential", "mean_s": 0}},
+                "environments.2.mean_s: must be a positive",
+            ),
+            ("environments", {"1": ["triad-like"]}, "unknown environment"),
+        ],
+    )
+    def test_bad_values_rejected_naming_the_key(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            minimal_spec(**{key: value})
+
+    def test_defaults_keep_the_cluster_defaults(self):
+        from repro.core.calibration import RegressionCalibrator
+        from repro.core.node import TriadNodeConfig
+
+        cluster = minimal_spec(duration_s=1).build().cluster
+        assert cluster.config.delay_model is None  # the paper LAN profile
+        for node in cluster.nodes:
+            assert node.config == TriadNodeConfig()
+            assert isinstance(node.calibrator, RegressionCalibrator)
+
+    def test_keys_reach_the_built_cluster(self):
+        from repro.core.calibration import MeanOnlyCalibrator
+        from repro.hardened.node import HardenedNodeConfig
+        from repro.hardware.aex import ExponentialAexDelays
+        from repro.net.delays import ConstantDelay
+
+        experiment = minimal_spec(
+            protocol="hardened",
+            environments={"2": {"type": "exponential", "mean_s": 0.25}},
+            link_delay={"model": "constant", "delay_us": 250},
+            node_config={
+                "calibration_rounds": 3,
+                "calibration_max_attempts": 7,
+                "calibration_sleeps_ms": [0, 50],
+                "monitor_enabled": False,
+                "monitor_calibration_samples": 5,
+                "calibrator": "mean-only",
+            },
+        ).build()
+        cluster = experiment.cluster
+        assert isinstance(cluster.config.delay_model, ConstantDelay)
+        assert cluster.config.delay_model.delay_ns == 250 * units.MICROSECOND
+        for node in cluster.nodes:
+            assert isinstance(node.config, HardenedNodeConfig)
+            assert node.config.calibration_rounds == 3
+            assert node.config.calibration_max_attempts == 7
+            assert node.config.calibration_sleeps_ns == (0, 50 * units.MILLISECOND)
+            assert node.config.monitor_enabled is False
+            assert node.config.monitor_calibration_samples == 5
+            assert isinstance(node.calibrator, MeanOnlyCalibrator)
+        assert len({id(node.calibrator) for node in cluster.nodes}) == 3
+        sources = cluster.machine.aex_sources
+        assert list(sources) == [cluster.monitoring_cores[1]]
+        distribution = sources[cluster.monitoring_cores[1]].distribution
+        assert isinstance(distribution, ExponentialAexDelays)
+        assert distribution.mean_ns == 250 * units.MILLISECOND
+
+    def test_lognormal_link_delay(self):
+        from repro.net.delays import LogNormalDelay
+
+        model = minimal_spec(
+            link_delay={"model": "lognormal", "median_us": 150, "sigma": 0.35}
+        ).build().cluster.config.delay_model
+        assert isinstance(model, LogNormalDelay)
+        assert (model.median_ns, model.sigma) == (150 * units.MICROSECOND, 0.35)
+
+    def test_unset_keys_are_not_written(self):
+        text = minimal_spec().to_json()
+        assert "link_delay" not in text and "node_config" not in text
+        spec = minimal_spec(
+            environments={"1": {"type": "exponential", "mean_s": 1}},
+            link_delay={"model": "constant", "delay_us": 100},
+            node_config={"calibrator": "mean-only"},
+        )
+        restored = ExperimentSpec.from_json(spec.to_json())
+        assert restored == spec
+        assert restored.to_json() == spec.to_json()

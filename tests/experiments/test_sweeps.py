@@ -62,3 +62,33 @@ class TestAexRateSweep:
         )
         assert points[0].metrics["availability"] <= points[1].metrics["availability"]
         assert points[0].metrics["aex_count"] > points[1].metrics["aex_count"]
+
+
+def _default_grid_specs():
+    from repro.experiments import sweeps
+
+    grids = [
+        sweeps.attack_delay_grid(mode) for mode in (AttackMode.F_PLUS, AttackMode.F_MINUS)
+    ] + [sweeps.jitter_grid(), sweeps.cluster_size_grid(), sweeps.aex_rate_grid()]
+    return [task.payload["spec"] for grid in grids for point in grid for task in point.tasks]
+
+
+class TestGridSpecs:
+    def test_default_grids_are_spec_tasks_naming_their_metric(self):
+        from repro.experiments.sweeps import METRICS, jitter_grid
+
+        points = jitter_grid()
+        assert [len(point.tasks) for point in points] == [8] * 4
+        for task in points[0].tasks:
+            assert task.kind == "spec"
+            assert task.payload["metric"] == {"sweep": "jitter"}
+            assert task.payload["metric"]["sweep"] in METRICS
+
+    @pytest.mark.parametrize("raw", _default_grid_specs(), ids=lambda raw: raw["name"])
+    def test_every_default_point_round_trips_and_builds(self, raw):
+        from repro.experiments.spec import ExperimentSpec
+
+        spec = ExperimentSpec.from_dict(raw)
+        restored = ExperimentSpec.from_json(spec.to_json())
+        assert restored == spec
+        restored.build()

@@ -17,57 +17,66 @@ tests pin the contract end to end:
 import pytest
 
 from repro.errors import OracleViolationError
-from repro.fleet import FleetPool, FleetTelemetry, RunTask
-from repro.fleet.tasks import execute_task
-from repro.sim.units import MILLISECOND, SECOND
+from repro.experiments.sweeps import attack_delay_grid
+from repro.fleet import FleetPool, FleetTelemetry
+from repro.fleet.tasks import execute_task, spec_task
+from repro.sim.units import MILLISECOND
 
 
-def attack_point_task(name, oracle_mode):
-    """A sweep point running the F- attack — guaranteed violations.
+def attack_point_task(oracle_mode):
+    """The F- 50 ms attack-delay sweep point — guaranteed violations, all
+    allowed by its attack timeline (strict passes)."""
+    [point] = attack_delay_grid("F_MINUS", delays_ns=(50 * MILLISECOND,))
+    [task] = point.tasks
+    task.overrides["oracle"] = oracle_mode
+    return task
 
-    With a name under the ``attack-delay/`` prefix the violations are
-    expected (strict passes); any other name makes them unexpected.
-    """
-    return RunTask(
-        kind="sweep-point",
-        name=name,
-        seed=400,
-        duration_ns=90 * SECOND,
-        payload={
-            "sweep": "attack-delay",
-            "kwargs": {
-                "mode": "F_MINUS",
-                "delay_ns": 50 * MILLISECOND,
-                "seed": 400,
-                "settle_ns": 30 * SECOND,
-                "measure_ns": 60 * SECOND,
-            },
-        },
-        overrides={"oracle": oracle_mode},
+
+def rogue_task(oracle_mode):
+    """A spec with no attack whose violations no timeline allows: the
+    mean-only estimator books a 40 ms roundtrip as sleep time, so every
+    node calibrates a slow clock and breaks its drift bound."""
+    task = spec_task(
+        {
+            "name": "rogue-point",
+            "seed": 400,
+            "duration_s": 30,
+            "machine_wide_mean_s": None,
+            "link_delay": {"model": "constant", "delay_us": 20_000},
+            "node_config": {"calibrator": "mean-only"},
+        }
     )
+    task.overrides["oracle"] = oracle_mode
+    return task
 
 
 class TestExecuteTask:
     def test_warn_mode_attaches_violations_to_value(self):
-        value = execute_task(attack_point_task("unregistered-name", "warn"))
-        assert value["violations"], "the F- attack must violate invariants"
+        value = execute_task(rogue_task("warn"))
+        assert value["violations"], "the slow clocks must violate invariants"
         invariants = {v["invariant"] for v in value["violations"]}
         assert "drift-bound" in invariants
 
+    def test_fminus_attack_delay_point_violates_only_on_its_victim(self):
+        # The timeline's F- allowance includes the cascade wildcard, but
+        # this point's honest nodes see no AEXs and so never adopt the
+        # victim's clock: every violation it produces is node-3's.
+        value = execute_task(attack_point_task("warn"))
+        assert value["violations"]
+        assert {v["node"] for v in value["violations"]} == {"node-3"}
+
     def test_strict_mode_raises_on_unexpected(self):
         with pytest.raises(OracleViolationError) as excinfo:
-            execute_task(attack_point_task("unregistered-name", "strict"))
+            execute_task(rogue_task("strict"))
         assert "unexpected" in str(excinfo.value)
         assert excinfo.value.violations  # records travel with the error
 
     def test_strict_mode_passes_when_expected(self):
-        task = attack_point_task("attack-delay/F_MINUS/50ms", "strict")
-        value = execute_task(task)
+        value = execute_task(attack_point_task("strict"))
         assert value["violations"]  # observed, but allowed
 
     def test_off_mode_adds_nothing(self):
-        task = attack_point_task("unregistered-name", "off")
-        assert "violations" not in execute_task(task)
+        assert "violations" not in execute_task(rogue_task("off"))
 
     def test_error_pickles_with_violations(self):
         import pickle
@@ -82,8 +91,8 @@ class TestPoolStrict:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_strict_violation_fails_the_batch_without_retry(self, jobs):
         tasks = [
-            attack_point_task("attack-delay/F_MINUS/50ms", "strict"),  # expected: ok
-            attack_point_task("rogue-point", "strict"),  # unexpected: fails
+            attack_point_task("strict"),  # expected: ok
+            rogue_task("strict"),  # unexpected: fails
         ]
         telemetry = FleetTelemetry()
         results = FleetPool(jobs=jobs, retries=2).run(tasks, telemetry=telemetry)
@@ -98,7 +107,7 @@ class TestPoolStrict:
         assert not all(result.ok for result in results)  # batch-level failure
 
     def test_warn_mode_keeps_batch_green_but_counts(self):
-        tasks = [attack_point_task("rogue-point", "warn")]
+        tasks = [rogue_task("warn")]
         telemetry = FleetTelemetry()
         results = FleetPool(jobs=1).run(tasks, telemetry=telemetry)
         assert results[0].ok
@@ -110,7 +119,7 @@ class TestPoolStrict:
         from repro.fleet import ResultCache
 
         cache = ResultCache(tmp_path)
-        task = attack_point_task("attack-delay/F_MINUS/50ms", "warn")
+        task = attack_point_task("warn")
         pool = FleetPool(jobs=1)
         first = pool.run([task], cache=cache)[0]
         second = pool.run([task], cache=cache)[0]

@@ -10,6 +10,7 @@ from repro.fleet.tasks import (
     register_runner,
     result_sim_ns,
     runner_for,
+    spec_task,
 )
 
 
@@ -21,11 +22,14 @@ def _echo(task):
 class TestRunTask:
     def test_roundtrip_through_dict(self):
         task = RunTask(
-            kind="sweep-point",
-            name="attack-delay/10ms",
+            kind="spec",
+            name="attack-delay/F_MINUS/10ms",
             seed=400,
             duration_ns=90_000_000_000,
-            payload={"sweep": "attack-delay", "kwargs": {"delay_ns": 10_000_000}},
+            payload={
+                "spec": {"name": "attack-delay/F_MINUS/10ms", "seed": 400, "duration_s": 90.0},
+                "metric": {"sweep": "attack-delay", "settle_ns": 30_000_000_000},
+            },
         )
         assert RunTask.from_dict(task.to_dict()) == task
 
@@ -63,12 +67,13 @@ class TestRegistry:
             runner_for("not-a-kind")
 
     def test_builtin_kinds_registered(self):
-        for kind in ("sweep-point", "spec", "experiment"):
+        for kind in ("spec", "hunt-genome", "experiment"):
             assert callable(runner_for(kind))
 
     def test_spec_is_the_only_kind_that_runs_specs(self):
-        # Every plane reports through the one "spec" kind, not a kind of its own.
-        for kind in ("service", "membership", "faults"):
+        # Every plane and every sweep point runs through the one "spec"
+        # kind, not a kind of its own.
+        for kind in ("service", "membership", "faults", "sweep-point"):
             with pytest.raises(FleetError, match="no runner registered"):
                 runner_for(kind)
 
@@ -78,10 +83,28 @@ class TestRegistry:
 
 
 class TestBuiltinRunners:
-    def test_sweep_point_runner_rejects_unknown_sweep(self):
-        task = RunTask(kind="sweep-point", name="x", payload={"sweep": "bogus"})
-        with pytest.raises(FleetError, match="unknown sweep"):
+    def test_spec_runner_rejects_unknown_sweep_metric(self):
+        spec = {"name": "x", "duration_s": 10, "nodes": 1}
+        task = RunTask(kind="spec", name="x", payload={"spec": spec, "metric": {"sweep": "bogus"}})
+        with pytest.raises(FleetError, match="unknown sweep metric"):
             execute_task(task)
+
+    def test_spec_runner_applies_the_named_sweep_metric(self):
+        spec = {
+            "name": "jitter-point",
+            "seed": 420,
+            "duration_s": 30,
+            "nodes": 1,
+            "machine_wide_mean_s": None,
+            "node_config": {"monitor_enabled": False},
+        }
+        task = spec_task(spec, metric={"sweep": "jitter"})
+        assert (task.kind, task.name, task.seed) == ("spec", "jitter-point", 420)
+        value = execute_task(task)
+        assert set(value) == {"spec", "metrics", "sim_ns"}
+        assert list(value["metrics"]) == ["error_ppm"]
+        assert abs(value["metrics"]["error_ppm"]) < 1000
+        assert value["sim_ns"] == 30_000_000_000
 
     def test_experiment_runner_rejects_unknown_experiment(self):
         task = RunTask(kind="experiment", name="x", payload={"experiment": "fig99"})

@@ -49,3 +49,11 @@ def test_every_preset_attack_is_pinned():
             if action.dest == "attack"
         )
         assert {(command, attack) for attack in attacks} <= set(PRESET_EXPECTATIONS)
+
+
+@pytest.mark.parametrize("name", ["cluster-size/x", "attack-delay/x"])
+def test_a_run_name_never_widens_the_expected_set(name):
+    # Sweep points are specs: their allowances come from their attack
+    # timeline alone, so a benign spec under a sweep's name allows nothing.
+    spec = ExperimentSpec(name=name, duration_s=10, machine_wide_mean_s=None)
+    assert spec.build().expected_violations == set()

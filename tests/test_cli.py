@@ -95,7 +95,7 @@ class TestSweepFleetFlags:
         assert main(argv) == 0
         second = capsys.readouterr()
         assert second.out == first.out  # byte-identical table
-        assert "1 cache hits" in second.err
+        assert "8 cache hits" in second.err  # one per seed of the point
 
     def test_sweep_no_cache_recomputes(self, capsys, tmp_path):
         argv = [
@@ -117,7 +117,7 @@ class TestSweepFleetFlags:
         records = [json.loads(line) for line in jsonl.read_text().splitlines()]
         assert records[0]["event"] == "task"
         assert records[-1]["event"] == "summary"
-        assert records[-1]["completed"] == 1
+        assert records[-1]["completed"] == 8  # one task per seed of the point
 
     def test_sweep_rejects_jobs_below_one(self, capsys):
         assert main(["sweep", "jitter", "--limit", "1", "--jobs", "0"]) == 2
@@ -303,7 +303,7 @@ class TestOracleFlag:
         assert main(argv + ["--oracle", "warn"]) == 0
         assert "0 cache hits" in capsys.readouterr().err  # recomputed, not served
         assert main(argv + ["--oracle", "warn"]) == 0
-        assert "1 cache hits" in capsys.readouterr().err
+        assert "8 cache hits" in capsys.readouterr().err
 
     def test_policy_restored_after_run(self):
         from repro.oracle import current_policy
