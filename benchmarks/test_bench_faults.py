@@ -90,13 +90,18 @@ def test_fault_recovery_throughput(benchmark):
     ))
 
     # Every scheduled fault fired (one inject + one heal row each) and
-    # every node came back.
+    # every judged node came back. Node 3 first reaches OK at 10.092 s,
+    # after the first fault (10 s), so it had no service to lose and
+    # recovery_verdicts leaves it unjudged; it still recovers (MTTR row,
+    # OK at the end).
     assert len(report["faults"]) == 2 * (len(CRASHED) + 2)
     assert report["recovered_all"] is True
+    assert {name: row["recovered"] for name, row in report["nodes"].items()} == {
+        f"node-{node}": None if node == 3 else True for node in range(1, NODES + 1)
+    }
     for node in CRASHED:
         row = report["nodes"][f"node-{node}"]
         assert row["crashes"] == 1
-        assert row["recovered"] is True
         assert row["ok_at_end"] is True
     assert len(mttrs) == len(CRASHED)
     assert report["mttr_max_ms"] == mttrs[-1]

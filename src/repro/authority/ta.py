@@ -9,10 +9,11 @@ NTP(sec) server or a timestamping authority. Triad nodes contact it:
 * during **reference calibration**, with ``s = 0`` requests, to re-anchor
   the absolute timestamp after all peers were tainted simultaneously.
 
-The TA handles any number of concurrent requests (each gets its own
-handler process). Its clock is the simulation's reference time plus an
-optional fixed offset; the TA itself is trusted and not attackable in the
-paper's model — all attacks happen on the path to it.
+The TA handles any number of concurrent requests: each request's envelope
+spawns its own handler process as it arrives. Its clock is the
+simulation's reference time plus an optional fixed offset; the TA itself
+is trusted and not attackable in the paper's model — all attacks happen on
+the path to it.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class TimeAuthority:
         #: flapping). Clients see exactly what a dead server looks like:
         #: silence, then their own timeout.
         self.down = False
-        self.process = sim.process(self._serve(), name=f"time-authority/{endpoint.name}")
+        endpoint.handler = self._on_envelope
 
     def set_down(self, down: bool = True) -> None:
         """Take the TA offline (or bring it back). Injection hook for faults."""
@@ -78,17 +79,13 @@ class TimeAuthority:
         """The TA's clock reading (reference time + configured offset)."""
         return self.sim.now + self.clock_offset_ns
 
-    # -- server loop -----------------------------------------------------------
+    # -- request handling ------------------------------------------------------
 
-    def _serve(self):
-        while True:
-            envelope = yield self.endpoint.recv()
-            if self.down:
-                self.stats.requests_dropped_down += 1
-                continue
-            self.sim.process(
-                self._handle(envelope), name=f"ta-handler/{envelope.sender}"
-            )
+    def _on_envelope(self, envelope: Envelope) -> None:
+        if self.down:
+            self.stats.requests_dropped_down += 1
+            return
+        self.sim.process(self._handle(envelope), name=f"ta-handler/{envelope.sender}")
 
     def _handle(self, envelope: Envelope):
         message = envelope.message

@@ -2,8 +2,9 @@
 
 A :class:`TriadNode` bundles everything one enclave runs:
 
-* a **message loop** serving peer timestamp requests and routing TA/peer
-  responses to waiting protocol steps;
+* a **message handler** serving peer timestamp requests and routing TA/peer
+  responses to waiting protocol steps, called by the endpoint as each
+  authenticated envelope arrives;
 * a **main loop** driving the state machine — initial FullCalib, then
   Tainted → (peer untaint | RefCalib with the TA) forever, plus FullCalib
   again whenever the INC monitor raises an alert;
@@ -34,7 +35,7 @@ from repro.hardware.aex import AexEvent
 from repro.hardware.machine import Machine
 from repro.hardware.monitor import IncMonitor, MonitorCalibration, PAPER_WINDOW_TICKS
 from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest, TimeResponse
-from repro.net.transport import SecureEndpoint
+from repro.net.transport import Envelope, SecureEndpoint
 from repro.sim.events import Event, Interrupt
 from repro.sim.units import MILLISECOND, SECOND
 
@@ -222,9 +223,15 @@ class TriadNode:
         #: and it never answers traffic, so the rest of the cluster sees
         #: exactly what it would see from a powered-off host.
         self.dormant = dormant
-        self.message_process = None
         self.main_process = None
         self.monitor_process = None
+        #: Authenticated envelopes still to be dropped after crashes: each
+        #: crash loses the first envelope that arrives after it. This is a
+        #: known defect, kept so outputs stay byte-identical; the probation
+        #: race in docs/membership.md depends on it. ROADMAP's open item on
+        #: TA-anchored evidence for quarantined repairers deletes it, and
+        #: test_restarted_node_handles_its_first_reply pins it.
+        self._envelopes_lost_to_crash = 0
         if not dormant:
             self.activate()
 
@@ -235,12 +242,12 @@ class TriadNode:
         subscribes its AEX handler, and enters the initial FullCalib just
         like a node constructed live.
         """
-        if self.message_process is not None:
+        if self.main_process is not None:
             return
         self.dormant = False
         self.machine.port(self.core_index).subscribe(self._on_aex)
+        self.endpoint.handler = self._on_envelope
         sim = self.sim
-        self.message_process = sim.process(self._message_loop(), name=f"{self.name}/messages")
         self.main_process = sim.process(self._main_loop(), name=f"{self.name}/main")
         if self.config.monitor_enabled:
             self.monitor_process = sim.process(self._monitor_loop(), name=f"{self.name}/monitor")
@@ -254,15 +261,17 @@ class TriadNode:
         the AEX handler is unsubscribed; all in-flight correlation state,
         monitor state, and the trusted clock's calibration are gone. The
         next :meth:`activate` is a cold boot — initial FullCalib from
-        nothing, exactly like a node constructed live.
+        nothing, exactly like a node constructed live. The first
+        authenticated envelope to arrive after the crash is lost (see
+        ``_envelopes_lost_to_crash``).
         """
-        if self.message_process is None:
+        if self.main_process is None:
             return
-        for process in (self.message_process, self.main_process, self.monitor_process):
+        for process in (self.main_process, self.monitor_process):
             if process is not None and process.is_alive:
                 process.interrupt(CRASH_CAUSE)
         self.machine.port(self.core_index).unsubscribe(self._on_aex)
-        self.message_process = None
+        self._envelopes_lost_to_crash += 1
         self.main_process = None
         self.monitor_process = None
         self._pending.clear()
@@ -628,38 +637,32 @@ class TriadNode:
             f"(sleep={sleep_ns}ns) in {self.config.calibration_max_attempts} attempts"
         )
 
-    # -- message loop -------------------------------------------------------------------------------
+    # -- message handling --------------------------------------------------------------------
 
-    def _message_loop(self):
-        try:
-            yield from self._run_messages()
-        except Interrupt as interrupt:
-            if interrupt.cause == CRASH_CAUSE:
-                return
-            raise
-
-    def _run_messages(self):
-        while True:
-            envelope = yield self.endpoint.recv()
-            message = envelope.message
-            if isinstance(message, PeerTimeRequest):
-                self._serve_peer_request(envelope.sender, message)
-            elif isinstance(message, TimeResponse):
-                waiter = self._pending.get(message.request_id)
-                if waiter is not None and not waiter.triggered:
-                    waiter.succeed(message)
-            elif isinstance(message, PeerTimeResponse):
-                gather = self._gathers.get(message.request_id)
-                if gather is not None:
-                    responses, done, expected = gather
-                    responses.append((envelope.sender, message))
-                    if len(responses) >= expected and not done.triggered:
-                        done.succeed()
-            else:
-                raise ProtocolError(
-                    f"{self.name} received unexpected {type(message).__name__} "
-                    f"from {envelope.sender}"
-                )
+    def _on_envelope(self, envelope: Envelope) -> None:
+        """Dispatch one authenticated envelope (the endpoint's handler)."""
+        if self._envelopes_lost_to_crash:
+            self._envelopes_lost_to_crash -= 1
+            return
+        message = envelope.message
+        if isinstance(message, PeerTimeRequest):
+            self._serve_peer_request(envelope.sender, message)
+        elif isinstance(message, TimeResponse):
+            waiter = self._pending.get(message.request_id)
+            if waiter is not None and not waiter.triggered:
+                waiter.succeed(message)
+        elif isinstance(message, PeerTimeResponse):
+            gather = self._gathers.get(message.request_id)
+            if gather is not None:
+                responses, done, expected = gather
+                responses.append((envelope.sender, message))
+                if len(responses) >= expected and not done.triggered:
+                    done.succeed()
+        else:
+            raise ProtocolError(
+                f"{self.name} received unexpected {type(message).__name__} "
+                f"from {envelope.sender}"
+            )
 
     # -- monitor loop ---------------------------------------------------------------------------------
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.events import Event
+from repro.sim.rng import DrawBatch
 from repro.sim.units import MILLISECOND, MINUTE, SECOND
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,8 +65,8 @@ class InterAexDistribution(Protocol):
     ``sample`` *calls on the same rng state* (stream stability). Sources
     use it to amortize numpy's per-call dispatch overhead (~20 µs per
     ``Generator.choice`` call vs ~0.1 µs per batched draw); distributions
-    with data-dependent draw counts simply omit it and are batched with a
-    plain Python loop, which is stream-identical by construction.
+    with data-dependent draw counts simply omit it and are drawn once per
+    arrival.
     """
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -177,17 +178,18 @@ class TraceAexDelays:
         self.delays_ns = tuple(delays_ns)
         if not self.delays_ns or any(d <= 0 for d in self.delays_ns):
             raise ConfigurationError("trace must be non-empty with positive delays")
-        self._cursor = 0
+        #: Replay position; :class:`~repro.sim.rng.DrawBatch` checkpoints it.
+        self.cursor = 0
 
     def sample(self, rng: np.random.Generator) -> int:
-        delay = self.delays_ns[self._cursor % len(self.delays_ns)]
-        self._cursor += 1
+        delay = self.delays_ns[self.cursor % len(self.delays_ns)]
+        self.cursor += 1
         return delay
 
     def sample_batch(self, rng: np.random.Generator, n: int) -> list[int]:
         trace = self.delays_ns
-        cursor = self._cursor
-        self._cursor = cursor + n
+        cursor = self.cursor
+        self.cursor = cursor + n
         size = len(trace)
         return [trace[(cursor + i) % size] for i in range(n)]
 
@@ -245,28 +247,23 @@ class AexSource:
 
     Batched arrivals
     ----------------
-    Historically this was a generator process drawing one delay per AEX.
-    numpy's per-call dispatch made that draw the single most expensive step
-    of AEX-heavy runs (~20 µs per ``Generator.choice`` call vs ~0.4 µs for
-    the surrounding kernel machinery), so delays are now pre-drawn in
-    batches of :data:`BATCH` and the source runs as a kernel-native
-    callback chain — no generator resume per arrival.
-
-    The observable behaviour is unchanged, event for event:
+    Delays are pre-drawn in batches of :data:`BATCH` through a
+    :class:`~repro.sim.rng.DrawBatch` (numpy's per-call dispatch would
+    otherwise make the draw the most expensive step of AEX-heavy runs), and
+    the source runs as a kernel-native callback chain — no generator
+    resume per arrival. The observable behaviour is that of a
+    draw-per-arrival source, event for event:
 
     * arrivals are still *scheduled* one at a time, at the instant the
       previous AEX fires, so same-tick FIFO order against other components
-      is identical to the per-event implementation;
+      is unchanged;
     * a priority-1 bootstrap event at the construction instant arms the
-      first arrival, exactly where the old process's bootstrap resumed;
-    * while paused the source polls at the old 100 ms cadence;
-    * :meth:`set_distribution` rewinds the rng to the last refill
-      checkpoint and replays exactly the consumed draws, so the stream
-      state matches what a draw-per-arrival source would hold — switching
-      environments mid-run cannot perturb later randomness. This relies on
-      ``sample_batch`` stream stability (see
-      :class:`InterAexDistribution`), which ``tests/sim/test_rng.py`` and
-      the golden traces pin.
+      first arrival;
+    * while paused the source polls at a 100 ms cadence;
+    * :meth:`set_distribution` gives the unused pre-drawn delays back to
+      the stream (:meth:`DrawBatch.rewind`), so switching environments
+      mid-run cannot perturb later randomness. Distributions without
+      ``sample_batch`` are drawn once per arrival.
     """
 
     #: Pre-drawn arrivals per refill. Large enough to amortize numpy call
@@ -289,10 +286,7 @@ class AexSource:
         self.enabled = enabled
         self._rng = sim.rng.stream(rng_name)
         self._poll_ns = 100 * MILLISECOND
-        self._batch: Sequence[int] = ()
-        self._index = 0
-        # (distribution, bit-generator state, trace cursor) at last refill.
-        self._checkpoint: Optional[tuple] = None
+        self._delays = DrawBatch(self._rng, self.BATCH)
         # Bootstrap mirrors the old generator-based source: a priority-1
         # event at the construction instant arms the first arrival, keeping
         # the processed-event stream (and thus golden traces) unchanged.
@@ -314,44 +308,8 @@ class AexSource:
 
     def set_distribution(self, distribution: InterAexDistribution) -> None:
         """Switch the inter-AEX delay environment from now on."""
-        self._rewind_unused()
+        self._delays.rewind()
         self.distribution = distribution
-
-    # -- batched delay stream --------------------------------------------------
-
-    def _refill(self) -> None:
-        distribution = self.distribution
-        rng = self._rng
-        cursor = distribution._cursor if isinstance(distribution, TraceAexDelays) else None
-        self._checkpoint = (distribution, rng.bit_generator.state, cursor)
-        sample_batch = getattr(distribution, "sample_batch", None)
-        if sample_batch is not None:
-            self._batch = sample_batch(rng, self.BATCH)
-        else:
-            # Data-dependent draw counts (e.g. the isolated-core mixture):
-            # batch with a plain loop, stream-identical by construction.
-            self._batch = [distribution.sample(rng) for _ in range(self.BATCH)]
-        self._index = 0
-
-    def _rewind_unused(self) -> None:
-        """Return pre-drawn-but-unused delays to the rng stream.
-
-        Resets the bit generator to the last refill checkpoint and replays
-        exactly the draws already consumed for scheduled arrivals, leaving
-        the stream in the state a draw-per-arrival source would hold.
-        """
-        if self._checkpoint is None:
-            return
-        distribution, rng_state, cursor = self._checkpoint
-        if self._index < len(self._batch):
-            self._rng.bit_generator.state = rng_state
-            if cursor is not None:
-                distribution._cursor = cursor
-            for _ in range(self._index):
-                distribution.sample(self._rng)
-        self._batch = ()
-        self._index = 0
-        self._checkpoint = None
 
     # -- the arrival chain -----------------------------------------------------
 
@@ -362,11 +320,7 @@ class AexSource:
             # instant is not protocol-relevant.
             self.sim.timeout(self._poll_ns)._add_callback(self._arm)
             return
-        if self._index == len(self._batch):
-            self._rewind_unused()  # no-op unless a stale checkpoint remains
-            self._refill()
-        delay = self._batch[self._index]
-        self._index += 1
+        delay = self._delays.draw(self.distribution)
         self.sim.timeout(delay)._add_callback(self._fire)
 
     def _fire(self, _event: Event) -> None:

@@ -10,20 +10,28 @@ Each datagram experiences:
    attacker can do both, and nothing else, because payloads are sealed;
 3. an optional uniform drop probability (honest UDP loss).
 
-Delivery is a scheduled simulator event; datagrams sent over the same link
-may be reordered if their sampled delays cross, faithfully modelling UDP.
+Delivery is one scheduled simulator timeout per datagram, whose callback
+hands the datagram to the destination socket's handler; datagrams sent
+over the same link may be reordered if their sampled delays cross,
+faithfully modelling UDP.
+
+Delays and loss draws share the ``network`` rng stream. Delays of models
+with ``sample_batch`` are pre-drawn in batches (:class:`~repro.sim.rng.DrawBatch`)
+and given back to the stream before any other draw on it, so every draw
+equals what a draw-per-datagram network would make.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import NetworkAdversary
 from repro.net.delays import DelayModel, paper_lan_delay
 from repro.net.message import Address, Datagram
 from repro.sim.events import Event
+from repro.sim.rng import DrawBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.crypto import SealedMessage
@@ -45,6 +53,9 @@ class Socket:
         self._waiters: deque[Event] = deque()
         self.received_count = 0
         self.sent_count = 0
+        #: Called with every delivered datagram, inside the delivery
+        #: timeout's callback. The default queues it for :meth:`recv`.
+        self.handler: Callable[[Datagram], None] = self._enqueue
 
     def send(self, destination: Address, payload: SealedMessage | bytes) -> Datagram:
         """Transmit a datagram; returns it (for logging/diagnostics)."""
@@ -62,6 +73,9 @@ class Socket:
 
     def _deliver(self, datagram: Datagram) -> None:
         self.received_count += 1
+        self.handler(datagram)
+
+    def _enqueue(self, datagram: Datagram) -> None:
         while self._waiters:
             waiter = self._waiters.popleft()
             if not waiter.triggered:
@@ -101,6 +115,7 @@ class Network:
         #: other outside. Hosts inside the same island still talk.
         self._partitions: dict[str, frozenset[str]] = {}
         self._rng = sim.rng.stream("network")
+        self._delays = DrawBatch(self._rng)
         #: All datagrams ever sent (kept for analysis; sizes stay modest in
         #: the paper's experiments — a handful of messages per AEX).
         self.log: list[Datagram] = []
@@ -213,11 +228,16 @@ class Network:
         delay_model = self._link_delays.get(
             (source.host, destination.host), self.default_delay
         )
-        delay_ns = delay_model.sample(self._rng)
-
-        if self.drop_probability and self._rng.random() < self.drop_probability:
-            self._drop(datagram, "loss")
-            return datagram
+        if self.drop_probability:
+            # Loss draws interleave with the delay draws on the stream, so
+            # both are drawn one datagram at a time while loss is on.
+            self._delays.rewind()
+            delay_ns = delay_model.sample(self._rng)
+            if self._rng.random() < self.drop_probability:
+                self._drop(datagram, "loss")
+                return datagram
+        else:
+            delay_ns = self._delays.draw(delay_model)
 
         for adversary in self._adversaries:
             interference = adversary.observe(datagram)
@@ -226,8 +246,7 @@ class Network:
                 return datagram
             delay_ns += interference.extra_delay_ns
 
-        delivery = self.sim.timeout(delay_ns, value=datagram)
-        delivery.callbacks.append(self._on_delivery)
+        self.sim.timeout(delay_ns, value=datagram)._add_callback(self._on_delivery)
         return datagram
 
     def _on_delivery(self, event: Event) -> None:

@@ -23,7 +23,12 @@ from repro.sim.units import MICROSECOND
 
 
 class DelayModel(Protocol):
-    """Sampler of one-way network delays (nanoseconds)."""
+    """Sampler of one-way network delays (nanoseconds).
+
+    A model may also provide ``sample_batch(rng, n)``, returning what ``n``
+    ``sample`` calls would return and leaving the same rng state;
+    :class:`~repro.net.channel.Network` then draws its delays in batches.
+    """
 
     def sample(self, rng: np.random.Generator) -> int:
         """Draw the one-way delay for one datagram."""
@@ -70,10 +75,24 @@ class LogNormalDelay:
         self.median_ns = median_ns
         self.sigma = sigma
         self.floor_ns = floor_ns
+        self._log_median = np.log(median_ns)
 
     def sample(self, rng: np.random.Generator) -> int:
-        delay = rng.lognormal(mean=np.log(self.median_ns), sigma=self.sigma)
+        delay = rng.lognormal(mean=self._log_median, sigma=self.sigma)
         return max(int(delay), self.floor_ns)
+
+    def sample_batch(self, rng: np.random.Generator, n: int) -> list[int]:
+        """``n`` delays, identical to ``n`` :meth:`sample` calls.
+
+        ``Generator.lognormal`` fills its output one element at a time from
+        the bit stream, so one size-n call leaves the same values and the
+        same generator state as n scalar calls.
+        """
+        floor = self.floor_ns
+        return [
+            max(int(delay), floor)
+            for delay in rng.lognormal(mean=self._log_median, sigma=self.sigma, size=n).tolist()
+        ]
 
 
 def paper_lan_delay() -> LogNormalDelay:

@@ -1,13 +1,14 @@
-"""Secure endpoints: sockets + per-peer link keys + an unsealing pump.
+"""Secure endpoints: sockets + per-peer link keys + an envelope handler.
 
 Protocol code (nodes, the Time Authority) talks in terms of plaintext
 message objects addressed by peer *name*. A :class:`SecureEndpoint`:
 
 * seals outgoing messages with the key shared with the destination peer
   and puts them on the network;
-* runs a pump process that unseals each incoming datagram with the key of
-  the peer registered at its source address, and queues
-  :class:`Envelope` objects for consumers;
+* unseals each incoming datagram with the key of the peer registered at
+  its source address, inside the delivery's own kernel event, and hands
+  the :class:`Envelope` to its :attr:`~SecureEndpoint.handler` — the
+  protocol's dispatch, or by default a queue read by ``recv()``/``drain()``;
 * silently drops (but counts) datagrams that fail authentication, which is
   the correct behaviour for a TEE receiving attacker-forged traffic.
 """
@@ -16,12 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigurationError, CryptoError
 from repro.net.channel import Network, Socket
 from repro.net.crypto import SecureChannelKey
-from repro.net.message import Address
+from repro.net.message import Address, Datagram
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +62,10 @@ class SecureEndpoint:
         self._waiters: deque[Event] = deque()
         self.auth_failures = 0
         self.unknown_sender_drops = 0
-        self._pump = sim.process(self._pump_loop(), name=f"endpoint-pump/{name}")
+        #: Called with every authenticated envelope, in the delivering
+        #: kernel event. The default queues it for :meth:`recv`/:meth:`drain`.
+        self.handler: Callable[[Envelope], None] = self._enqueue
+        self.socket.handler = self._on_datagram
 
     # -- peer management -------------------------------------------------------
 
@@ -130,26 +134,21 @@ class SecureEndpoint:
         self._inbox.clear()
         return drained
 
-    def _pump_loop(self):
-        while True:
-            datagram = yield self.socket.recv()
-            link = self._address_to_peer.get(datagram.source)
-            if link is None:
-                # Source address unknown: without a key there is nothing to
-                # authenticate against; a TEE must ignore such traffic.
-                self.unknown_sender_drops += 1
-                continue
-            try:
-                message = link.key.open(datagram.payload)
-            except CryptoError:
-                self.auth_failures += 1
-                continue
-            envelope = Envelope(
-                sender=link.name, message=message, received_at_ns=self.sim.now
-            )
-            self._deliver(envelope)
+    def _on_datagram(self, datagram: Datagram) -> None:
+        link = self._address_to_peer.get(datagram.source)
+        if link is None:
+            # Source address unknown: without a key there is nothing to
+            # authenticate against; a TEE must ignore such traffic.
+            self.unknown_sender_drops += 1
+            return
+        try:
+            message = link.key.open(datagram.payload)
+        except CryptoError:
+            self.auth_failures += 1
+            return
+        self.handler(Envelope(sender=link.name, message=message, received_at_ns=self.sim.now))
 
-    def _deliver(self, envelope: Envelope) -> None:
+    def _enqueue(self, envelope: Envelope) -> None:
         while self._waiters:
             waiter = self._waiters.popleft()
             if not waiter.triggered:

@@ -184,3 +184,59 @@ class TestAdversaryIntegration:
     def test_negative_adversary_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             Interference(extra_delay_ns=-1)
+
+
+class TestBatchedDelayDraws:
+    """The network pre-draws lognormal delays in batches; every delay and
+    loss draw must still equal what per-datagram scalar draws from the
+    same stream give."""
+
+    SEED = 31
+
+    def test_batched_delays_equal_scalar_draws(self):
+        from repro.net.delays import LogNormalDelay
+        from repro.sim.rng import RngRegistry
+
+        sim = Simulator(seed=self.SEED)
+        base = LogNormalDelay(median_ns=150_000, sigma=0.35, floor_ns=20_000)
+        other = LogNormalDelay(median_ns=400_000, sigma=0.5)
+        uniform = UniformDelay(10_000, 90_000)
+        net = Network(sim, default_delay=base)
+        a = net.attach(Address("a"))
+        b = net.attach(Address("b"))
+        arrivals = {}
+        a.handler = b.handler = lambda d: arrivals.__setitem__(d.payload, sim.now - d.sent_at_ns)
+
+        # (source socket, destination, model of that link, drop probability)
+        script = []
+
+        def send(source, destination, count, model, loss=0.0):
+            for _ in range(count):
+                script.append((model, loss))
+                source.send(destination.address, len(script))
+
+        send(a, b, 10, base)  # part of the first batch
+        net.set_drop_probability(0.3)
+        send(a, b, 12, base, loss=0.3)  # rewinds halfway through the batch
+        net.set_drop_probability(0.0)
+        send(a, b, 5, base)
+        net.set_link_delay("a", "b", other)
+        for _ in range(4):  # alternates two batched models
+            send(a, b, 2, other)
+            send(b, a, 1, base)
+        net.set_link_delay("a", "b", uniform)
+        for _ in range(4):  # an unbatched model between batched draws
+            send(a, b, 1, uniform)
+            send(b, a, 2, base)
+        send(b, a, 150, base)  # crosses several batch boundaries
+        sim.run()
+
+        reference = RngRegistry(seed=self.SEED).stream("network")
+        expected = {}
+        for payload, (model, loss) in enumerate(script, start=1):
+            delay = model.sample(reference)
+            if loss and reference.random() < loss:
+                continue
+            expected[payload] = delay
+        assert arrivals == expected
+        assert len(expected) < len(script)  # the loss window dropped some

@@ -7,7 +7,6 @@ from repro.messages import PeerTimeRequest, PeerTimeResponse, TimeRequest
 from repro.net.channel import Network
 from repro.net.crypto import SecureChannelKey
 from repro.net.delays import ConstantDelay
-from repro.net.message import Address
 from repro.net.transport import SecureEndpoint
 from repro.sim import Simulator, units
 
@@ -132,3 +131,45 @@ class TestAuthentication:
         net.send(alice.address, bob.address, sealed)
         sim.run()
         assert [envelope.message for envelope in bob.drain()] == [message, message]
+
+
+class TestHandlerDelivery:
+    def test_handler_replaces_the_queue(self, sim, pair):
+        alice, bob = pair
+        handled = []
+        bob.handler = handled.append
+        alice.send("bob", PeerTimeRequest(request_id=4))
+        sim.run()
+        assert [(e.sender, e.message, e.received_at_ns) for e in handled] == [
+            ("alice", PeerTimeRequest(request_id=4), units.milliseconds(1))
+        ]
+        assert bob.drain() == []
+
+    def test_one_kernel_event_per_datagram(self, sim, pair):
+        """Ping-pong over a constant delay: each handler runs inside the
+        delivery timeout of its datagram, with no kernel event between
+        ``send`` and the handler."""
+        alice, bob = pair
+        legs = 10
+        processed = []
+        sim.add_trace_hook(processed.append)
+        seen = []
+
+        def responder(endpoint, peer):
+            def handle(envelope):
+                seen.append((len(processed), sim.now, envelope.sender))
+                request_id = envelope.message.request_id
+                if request_id < legs:
+                    endpoint.send(peer, PeerTimeRequest(request_id=request_id + 1))
+
+            return handle
+
+        alice.handler = responder(alice, "bob")
+        bob.handler = responder(bob, "alice")
+        alice.send("bob", PeerTimeRequest(request_id=1))
+        sim.run()
+        assert len(processed) == legs
+        assert seen == [
+            (leg, (leg + 1) * units.milliseconds(1), "alice" if leg % 2 == 0 else "bob")
+            for leg in range(legs)
+        ]

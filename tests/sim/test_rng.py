@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.sim import RngRegistry
+from repro.sim.rng import DrawBatch
 
 
 class TestStreamIdentity:
@@ -122,3 +123,38 @@ class TestBatchedDrawStability:
         got = [max(int(x), 1) for x in np.asarray(batched.exponential(3.3e8, size=257))]
         assert got == expected
         assert sequential.bit_generator.state == batched.bit_generator.state
+
+    def test_lognormal_batch_matches_sequential(self):
+        """The network delay draw shape (``LogNormalDelay``)."""
+        sequential, batched = self._pair(seed=41, name="network")
+        mean = np.log(150_000)
+        expected = [sequential.lognormal(mean=mean, sigma=0.35) for _ in range(257)]
+        got = batched.lognormal(mean=mean, sigma=0.35, size=257).tolist()
+        assert got == expected
+        assert sequential.bit_generator.state == batched.bit_generator.state
+
+
+class TestDrawBatch:
+    def test_rewind_mid_batch_leaves_the_scalar_stream_state(self):
+        from repro.net.delays import LogNormalDelay
+
+        model = LogNormalDelay(median_ns=150_000, sigma=0.35)
+        scalar, batched = RngRegistry(seed=5).stream("s"), RngRegistry(seed=5).stream("s")
+        draws = DrawBatch(batched, size=64)
+        expected = [model.sample(scalar) for _ in range(100)]
+        got = [draws.draw(model) for _ in range(100)]  # one refill, 36 used
+        draws.rewind()
+        assert got == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_sampler_without_sample_batch_is_drawn_directly(self):
+        class Uniform:
+            def sample(self, rng):
+                return int(rng.integers(0, 1000))
+
+        scalar, batched = RngRegistry(seed=5).stream("s"), RngRegistry(seed=5).stream("s")
+        draws = DrawBatch(batched)
+        assert [draws.draw(Uniform()) for _ in range(5)] == [
+            Uniform().sample(scalar) for _ in range(5)
+        ]
+        assert batched.bit_generator.state == scalar.bit_generator.state
